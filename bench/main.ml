@@ -180,6 +180,18 @@ let regenerate_artifacts () =
         (Sim.run ~ticks:64 ~inputs:Robustness.lock_stimulus Guarded.component));
   print_string (Automode_obs.Metrics.to_text m)
 
+(* Best wall-clock time of [reps] runs of [f], in seconds: the minimum
+   cancels scheduler noise. *)
+let min_time ~reps f =
+  let best = ref infinity in
+  for _ = 1 to reps do
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt
+  done;
+  !best
+
 (* E16's overhead claim: full metrics on the E3 pipeline cost < 10 %.
    Min-of-reps wall clock so scheduler noise cancels; the bound is only
    asserted in full bench mode (never in the --artifacts-only CI smoke,
@@ -187,21 +199,11 @@ let regenerate_artifacts () =
 let e16_overhead ~assert_bound () =
   section "E16 | observability: instrumentation overhead on the E3 pipeline";
   let reps = 5 in
-  let min_time f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let base = min_time (fun () -> Pipeline.run ~equiv_ticks:50 ()) in
+  let base = min_time ~reps (fun () -> Pipeline.run ~equiv_ticks:50 ()) in
   let m = Automode_obs.Metrics.create () in
   let sink = Automode_obs.Probe.standard m in
   let instr =
-    min_time (fun () ->
+    min_time ~reps (fun () ->
         Automode_obs.Metrics.reset m;
         Automode_obs.Probe.with_sink sink (fun () ->
             Pipeline.run ~equiv_ticks:50 ()))
@@ -218,7 +220,7 @@ let e16_overhead ~assert_bound () =
       exit 1
     end
 
-(* E17: the index-compiled engine vs. the closure-compiled one, and the
+(* E17: the index-compiled engine vs. the interpreted oracle, and the
    domain-parallel campaign sweep vs. serial.  Engine speedups are
    asserted in full bench mode; the parallel speedup additionally needs
    actual cores (a single-CPU runner can only lose wall clock to domain
@@ -227,18 +229,8 @@ let e16_overhead ~assert_bound () =
 let e17_speedups ~domains ~assert_bounds () =
   section "E17 | indexed engine + domain-parallel campaign sweeps";
   let reps = 5 in
-  let min_time f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  (* engine speedup: same workloads as ablation/engine-sim-compiled-500t
-     and E5/dfd-sim-200-32t *)
+  (* engine speedup: same workloads as E8/fda-sim-500t and
+     E5/dfd-sim-200-32t, each with its pinned lower bound *)
   let fda, _ = Engine_ascet.reengineer () in
   let fda_inputs tick =
     List.map
@@ -249,28 +241,27 @@ let e17_speedups ~domains ~assert_bounds () =
   let dfd_inputs t = [ ("src", Value.Present (Value.Float (float_of_int t))) ] in
   let engine_rows =
     List.map
-      (fun (name, comp, inputs, ticks) ->
-        let compiled = Sim.compile comp in
+      (fun (name, comp, inputs, ticks, bound) ->
         let indexed = Sim.index comp in
-        let t_c = min_time (fun () -> Sim.run_compiled ~ticks ~inputs compiled) in
-        let t_i = min_time (fun () -> Sim.run_indexed ~ticks ~inputs indexed) in
-        (name, t_c, t_i, t_c /. t_i))
-      [ ("engine-fda-500t", fda.Model.model_root, fda_inputs, 500);
-        ("random-dfd-200-32t", dfd, dfd_inputs, 32) ]
+        let t_s = min_time ~reps (fun () -> Sim.run ~ticks ~inputs comp) in
+        let t_i = min_time ~reps (fun () -> Sim.run_indexed ~ticks ~inputs indexed) in
+        (name, t_s, t_i, t_s /. t_i, bound))
+      [ ("engine-fda-500t", fda.Model.model_root, fda_inputs, 500, 6.);
+        ("random-dfd-200-32t", dfd, dfd_inputs, 32, 10.) ]
   in
-  Printf.printf "%-22s %14s %14s %9s\n" "workload" "closure ms" "indexed ms"
-    "speedup";
+  Printf.printf "%-22s %14s %14s %9s\n" "workload" "interpreted ms"
+    "indexed ms" "speedup";
   List.iter
-    (fun (name, t_c, t_i, r) ->
-      Printf.printf "%-22s %14.2f %14.2f %8.2fx\n" name (t_c *. 1e3)
+    (fun (name, t_s, t_i, r, _) ->
+      Printf.printf "%-22s %14.2f %14.2f %8.2fx\n" name (t_s *. 1e3)
         (t_i *. 1e3) r)
     engine_rows;
   if assert_bounds then
     List.iter
-      (fun (name, _, _, r) ->
-        if r >= 3. then Printf.printf "%s speedup >= 3x: OK\n" name
+      (fun (name, _, _, r, bound) ->
+        if r >= bound then Printf.printf "%s speedup >= %.0fx: OK\n" name bound
         else begin
-          Printf.printf "%s speedup >= 3x: FAILED (%.2fx)\n" name r;
+          Printf.printf "%s speedup >= %.0fx: FAILED (%.2fx)\n" name bound r;
           exit 1
         end)
       engine_rows;
@@ -296,8 +287,8 @@ let e17_speedups ~domains ~assert_bounds () =
          (Automode_robust.Report.to_csv serial_report)
          (Automode_robust.Report.to_csv parallel_report)
   in
-  let t_serial = min_time (fun () -> sweep ~domains:1 ()) in
-  let t_par = min_time (fun () -> sweep ~domains ()) in
+  let t_serial = min_time ~reps (fun () -> sweep ~domains:1 ()) in
+  let t_par = min_time ~reps (fun () -> sweep ~domains ()) in
   let speedup = t_serial /. t_par in
   let cores = Domain.recommended_domain_count () in
   Printf.printf
@@ -330,22 +321,12 @@ let e17_speedups ~domains ~assert_bounds () =
 let e18_cache ~assert_bounds () =
   section "E18 | campaign-as-a-service: content-addressed verdict cache";
   let reps = 5 in
-  let min_time f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let module Serve = Automode_serve in
   let scn = Robustness.door_lock_scenario in
   let seeds = List.init 8 (fun i -> i + 1) in
   (* cold: a fresh cache per run, so every seed is computed and stored *)
   let t_cold =
-    min_time (fun () ->
+    min_time ~reps (fun () ->
         Serve.Cached.sweep ~cache:(Serve.Cache.create ()) ~shrink:false scn
           ~seeds)
   in
@@ -356,7 +337,7 @@ let e18_cache ~assert_bounds () =
   in
   let warm () = Serve.Cached.sweep ~cache ~shrink:false scn ~seeds in
   let warm_report = Automode_robust.Report.to_text (warm ()) in
-  let t_warm = min_time warm in
+  let t_warm = min_time ~reps warm in
   let plain_report =
     Automode_robust.Report.to_text
       (Automode_robust.Scenario.sweep ~shrink:false scn ~seeds)
@@ -394,16 +375,6 @@ let e18_cache ~assert_bounds () =
 let e19_proptest ~assert_bounds () =
   section "E19 | property-testing builder: overhead vs hand-assembled loop";
   let reps = 5 in
-  let min_time f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let module P = Automode_proptest in
   let module R = Automode_robust in
   let spec = Propcase.unguarded in
@@ -447,8 +418,8 @@ let e19_proptest ~assert_bounds () =
     List.map (fun c -> c.P.Builder.verdicts) (builder ()).P.Builder.cases
   in
   let identical = builder_verdicts = hand () in
-  let t_builder = min_time builder in
-  let t_hand = min_time hand in
+  let t_builder = min_time ~reps builder in
+  let t_hand = min_time ~reps hand in
   let overhead = t_builder /. t_hand in
   Printf.printf
     "unguarded door-lock spec, 8 seeds x %d iterations: builder %.2f ms, \
@@ -475,28 +446,18 @@ let e19_proptest ~assert_bounds () =
 let e20_litmus ~assert_bounds () =
   section "E20 | litmus synthesis: enumeration throughput, cold vs warm cache";
   let reps = 5 in
-  let min_time f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let module Serve = Automode_serve in
   let module Synth = Automode_litmus.Synth in
   let bound = 2 in
   let t_cold =
-    min_time (fun () ->
+    min_time ~reps (fun () ->
         Serve.Catalog.litmus_result ~cache:(Serve.Cache.create ()) ~bound ())
   in
   let cache = Serve.Cache.create () in
   let cold = Serve.Catalog.litmus_result ~cache ~bound () in
   let warm () = Serve.Catalog.litmus_result ~cache ~bound () in
   let warm_r = warm () in
-  let t_warm = min_time warm in
+  let t_warm = min_time ~reps warm in
   let identical = String.equal (Synth.to_text cold) (Synth.to_text warm_r) in
   let speedup = t_cold /. t_warm in
   Printf.printf
@@ -530,16 +491,6 @@ let e20_litmus ~assert_bounds () =
 let e21_batch ~domains () =
   section "E21 | batched engine: instance axis vs looped run_indexed";
   let reps = 3 in
-  let min_time f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let dfd = Workloads.random_dfd_component ~seed:42 ~n:200 in
   let ix = Sim.index dfd in
   let instances = 1000 in
@@ -555,15 +506,15 @@ let e21_batch ~domains () =
     Array.init instances (fun i ->
         Sim.run_indexed ~ticks ~inputs:(inputs i) ix)
   in
-  let t_loop = min_time looped in
+  let t_loop = min_time ~reps looped in
   let t_cold =
-    min_time (fun () ->
+    min_time ~reps (fun () ->
         let b = Sim.batch ~instances ix in
         Sim.run_batch ~ticks ~inputs b;
         b)
   in
   let b = Sim.batch ~instances ix in
-  let t_warm = min_time (fun () -> Sim.run_batch ~ticks ~inputs b) in
+  let t_warm = min_time ~reps (fun () -> Sim.run_batch ~ticks ~inputs b) in
   let reference = looped () in
   let identical_to_reference () =
     let ok = ref true in
@@ -631,16 +582,6 @@ let e21_batch ~domains () =
 let e22_prefix ~domains () =
   section "E22 | prefix sharing: checkpointed campaigns vs straight loops";
   let reps = 3 in
-  let min_time f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let module B = Automode_proptest.Builder in
   let module L = Automode_litmus in
   let module R = Automode_robust in
@@ -681,8 +622,8 @@ let e22_prefix ~domains () =
   let synth ~prefix_share ?(instances = 1) () =
     L.Synth.run ~config ~instances ~prefix_share ~twin ~alphabet ()
   in
-  let t_lit_loop = min_time (fun () -> synth ~prefix_share:false ()) in
-  let t_lit_shared = min_time (fun () -> synth ~prefix_share:true ()) in
+  let t_lit_loop = min_time ~reps (fun () -> synth ~prefix_share:false ()) in
+  let t_lit_shared = min_time ~reps (fun () -> synth ~prefix_share:true ()) in
   let lit_ref = L.Synth.to_text (synth ~prefix_share:false ()) in
   let lit_identical =
     List.for_all
@@ -716,8 +657,8 @@ let e22_prefix ~domains () =
     R.Scenario.sweep ~shrink:false ~domains ~instances ~prefix_share scn
       ~seeds
   in
-  let t_sw_loop = min_time (fun () -> sweep ~prefix_share:false ()) in
-  let t_sw_shared = min_time (fun () -> sweep ~prefix_share:true ()) in
+  let t_sw_loop = min_time ~reps (fun () -> sweep ~prefix_share:false ()) in
+  let t_sw_shared = min_time ~reps (fun () -> sweep ~prefix_share:true ()) in
   let sw_ref = R.Report.to_text (sweep ~prefix_share:false ()) in
   let sw_identical =
     List.for_all
@@ -1006,15 +947,6 @@ let ablation_tests =
       ("n", Value.Present (Value.Float (1000. +. float_of_int tick))) ]
   in
   [ (let fda, _ = Engine_ascet.reengineer () in
-     let inputs tick =
-       List.map
-         (fun (n, v) -> (n, Value.Present v))
-         (Engine_ascet.drive_inputs tick)
-     in
-     let compiled = Sim.compile fda.Model.model_root in
-     Test.make ~name:"ablation/engine-sim-compiled-500t"
-       (stage (fun () -> Sim.run_compiled ~ticks:500 ~inputs compiled)));
-    (let fda, _ = Engine_ascet.reengineer () in
      let inputs tick =
        List.map
          (fun (n, v) -> (n, Value.Present v))

@@ -356,6 +356,16 @@ let resolve_seeds seeds count =
   | [] -> List.init count (fun i -> i + 1)
   | s -> s
 
+(* The execution plan of the campaign commands, validated:
+   (domains, instances, prefix_share). *)
+let plan_term =
+  let plan domains instances no_prefix_share =
+    validate_positive "--domains" domains;
+    validate_positive "--instances" instances;
+    (domains, instances, not no_prefix_share)
+  in
+  Term.(const plan $ domains_arg $ instances_arg $ no_prefix_share_flag)
+
 (* Reports go through a buffer so --out writes exactly what stdout would
    have shown — the artifact CI uploads is the gate's evidence. *)
 let emit out text =
@@ -428,11 +438,8 @@ let make_cache cache_dir =
   Option.map (fun dir -> Serve.Cache.create ~dir ()) cache_dir
 
 let robustness_cmd =
-  let run seeds count csv no_shrink engine horizon domains instances
-      no_prefix_share out metrics trace_out cache_dir =
-    validate_positive "--domains" domains;
-    validate_positive "--instances" instances;
-    let prefix_share = not no_prefix_share in
+  let run seeds count csv no_shrink engine horizon
+      (domains, instances, prefix_share) out metrics trace_out cache_dir =
     let seeds = resolve_seeds seeds count in
     let cache = make_cache cache_dir in
     (* CI gate: any failing scenario makes the run exit non-zero *)
@@ -472,16 +479,12 @@ let robustness_cmd =
          "Seeded fault-injection campaigns over the case studies \
           (deterministic: the same seeds reproduce the same report)")
     Term.(const run $ seed_list_arg $ seed_count_arg $ csv_flag
-          $ no_shrink_flag $ engine_flag $ horizon_arg $ domains_arg
-          $ instances_arg $ no_prefix_share_flag $ out_arg $ metrics_arg
-          $ trace_out_arg $ cache_dir_arg)
+          $ no_shrink_flag $ engine_flag $ horizon_arg $ plan_term $ out_arg
+          $ metrics_arg $ trace_out_arg $ cache_dir_arg)
 
 let guard_cmd =
-  let run seeds count no_shrink engine horizon domains instances
-      no_prefix_share out metrics trace_out cache_dir =
-    validate_positive "--domains" domains;
-    validate_positive "--instances" instances;
-    let prefix_share = not no_prefix_share in
+  let run seeds count no_shrink engine horizon
+      (domains, instances, prefix_share) out metrics trace_out cache_dir =
     let seeds = resolve_seeds seeds count in
     let cache = make_cache cache_dir in
     (* only the guarded side gates: the unguarded run is the contrast *)
@@ -508,16 +511,12 @@ let guard_cmd =
           limp-home manager, E2E frames, scheduler watchdog); exits \
           non-zero if the guarded side fails")
     Term.(const run $ seed_list_arg $ seed_count_arg $ no_shrink_flag
-          $ engine_flag $ horizon_arg $ domains_arg $ instances_arg
-          $ no_prefix_share_flag $ out_arg $ metrics_arg $ trace_out_arg
-          $ cache_dir_arg)
+          $ engine_flag $ horizon_arg $ plan_term $ out_arg $ metrics_arg
+          $ trace_out_arg $ cache_dir_arg)
 
 let redund_cmd =
-  let run seeds count no_shrink horizon domains instances no_prefix_share
+  let run seeds count no_shrink horizon (domains, instances, prefix_share)
       out metrics trace_out cache_dir =
-    validate_positive "--domains" domains;
-    validate_positive "--instances" instances;
-    let prefix_share = not no_prefix_share in
     let seeds = resolve_seeds seeds count in
     let cache = make_cache cache_dir in
     (* the protected configurations gate; the simplex and single-channel
@@ -540,19 +539,16 @@ let redund_cmd =
           dual-channel TT bus); exits non-zero if a protected \
           configuration fails")
     Term.(const run $ seed_list_arg $ seed_count_arg $ no_shrink_flag
-          $ horizon_arg $ domains_arg $ instances_arg $ no_prefix_share_flag
-          $ out_arg $ metrics_arg $ trace_out_arg $ cache_dir_arg)
+          $ horizon_arg $ plan_term $ out_arg $ metrics_arg $ trace_out_arg
+          $ cache_dir_arg)
 
 let proptest_cmd =
   let module B = Automode_proptest.Builder in
-  let run seeds count no_shrink iterations target domains instances
-      no_prefix_share out metrics trace_out cache_dir =
-    validate_positive "--domains" domains;
-    validate_positive "--instances" instances;
+  let run seeds count no_shrink iterations target
+      (domains, instances, prefix_share) out metrics trace_out cache_dir =
     validate_positive "--iterations" iterations;
     let seeds = resolve_seeds seeds count in
     let shrink = not no_shrink in
-    let prefix_share = not no_prefix_share in
     match target with
     | "pair" ->
       (* The paired comparison routes through the serve catalog, so the
@@ -613,9 +609,8 @@ let proptest_cmd =
           Reports are byte-identical across reruns, --domains fan-outs \
           and daemon-served execution")
     Term.(const run $ seed_list_arg $ seed_count_arg $ no_shrink_flag
-          $ iterations_arg $ target_arg $ domains_arg $ instances_arg
-          $ no_prefix_share_flag $ out_arg $ metrics_arg $ trace_out_arg
-          $ cache_dir_arg)
+          $ iterations_arg $ target_arg $ plan_term $ out_arg $ metrics_arg
+          $ trace_out_arg $ cache_dir_arg)
 
 let litmus_cmd =
   let module Synth = Automode_litmus.Synth in
@@ -624,21 +619,15 @@ let litmus_cmd =
   let resolve_engine = function
     | "indexed" -> B.Indexed
     | "interpreted" -> B.Interpreted
-    | "compiled" -> B.Compiled
     | e ->
       Printf.eprintf
-        "error: unknown engine %s (available: indexed, interpreted, \
-         compiled)\n"
-        e;
+        "error: unknown engine %s (available: indexed, interpreted)\n" e;
       exit 1
   in
-  let run bound max_scenarios engine domains instances no_prefix_share
+  let run bound max_scenarios engine (domains, instances, prefix_share)
       replay suite_out out metrics trace_out cache_dir =
     validate_positive "--bound" bound;
     validate_positive "--max-scenarios" max_scenarios;
-    validate_positive "--domains" domains;
-    validate_positive "--instances" instances;
-    let prefix_share = not no_prefix_share in
     let engine = resolve_engine engine in
     match replay with
     | Some path ->
@@ -690,10 +679,10 @@ let litmus_cmd =
   let engine_arg =
     Arg.(value & opt string "indexed"
          & info [ "sim" ] ~docv:"ENGINE"
-             ~doc:"Simulation engine: $(b,indexed) (default), \
-                   $(b,interpreted) or $(b,compiled).  All three yield \
-                   byte-identical reports; CI replays the suite under two \
-                   of them to pin that.")
+             ~doc:"Simulation engine: $(b,indexed) (default) or \
+                   $(b,interpreted), the oracle.  Both yield \
+                   byte-identical reports; CI replays the suite under \
+                   both to pin that.")
   in
   let replay_arg =
     Arg.(value & opt (some string) None
@@ -721,9 +710,8 @@ let litmus_cmd =
           violated.  --replay re-checks a pinned suite and exits \
           non-zero on any regression")
     Term.(const run $ bound_arg $ max_scenarios_arg $ engine_arg
-          $ domains_arg $ instances_arg $ no_prefix_share_flag $ replay_arg
-          $ suite_out_arg $ out_arg $ metrics_arg $ trace_out_arg
-          $ cache_dir_arg)
+          $ plan_term $ replay_arg $ suite_out_arg $ out_arg $ metrics_arg
+          $ trace_out_arg $ cache_dir_arg)
 
 let profile_cmd =
   (* Target registry: a name, a short description, and the action to run
@@ -777,16 +765,13 @@ let profile_cmd =
     let sink = Obs.Probe.standard ~span ~profile:prof m in
     Obs.Profile.time prof ("profile." ^ name) (fun () ->
         Obs.Probe.with_sink sink (fun () ->
-            if domains <= 1 then action ~ticks
-            else
-              (* stress mode: one run of the target per domain, all
-                 feeding the same (mutex-guarded) sink; metrics then
-                 aggregate N runs and are only byte-stable at the
-                 serial default *)
-              ignore
-                (Automode_robust.Parallel.map ~domains
-                   (fun () -> action ~ticks)
-                   (List.init domains (fun _ -> ())))));
+            (* one run of the target per domain, all feeding the same
+               (mutex-guarded) sink; metrics then aggregate N runs and
+               are only byte-stable at the serial default *)
+            ignore
+              (Automode_robust.Parallel.map ~domains
+                 (fun () -> action ~ticks)
+                 (List.init domains (fun _ -> ())))));
     (* deterministic artifacts first, wall-clock summary (stdout only,
        never a byte-compared artifact) last *)
     Option.iter (fun p -> write_file p (Obs.Metrics.to_csv m)) metrics;

@@ -399,256 +399,20 @@ let run ?(schedule = Clock.no_events) ~ticks ~inputs (comp : Model.component) =
   go 0 (init comp) trace
 
 (* ------------------------------------------------------------------ *)
-(* Compiled simulation                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* A channel read resolved at compile time: where the value comes from at
-   run time, and whether it is read through the delay register. *)
-type source =
-  | From_boundary of string           (* enclosing input port *)
-  | From_component of string * string (* sub-component, output port *)
-
-type routed_channel = {
-  rc_name : string;
-  rc_source : source;
-  rc_delayed : bool;
-  (* probe handles resolved at compile time — the compiled engine's
-     hot loop must not hash key strings per tick (E16) *)
-  rc_present : Probe.counter;
-  rc_absent : Probe.counter;
-}
-
-type compiled_comp = {
-  cc_name : string;
-  (* declared input ports, recorded at compile time so [run_compiled]
-     names its trace flows without sampling the stimulus *)
-  cc_in_ports : string list;
-  cc_out_ports : string list;
-  cc_step :
-    Clock.schedule -> int -> (string -> Value.message) -> comp_state ->
-    (string * Value.message) list * comp_state;
-  cc_init : unit -> comp_state;
-}
-
-type compiled = compiled_comp
-
-(* Compile a behavior into a closure; networks resolve their routing
-   tables once. *)
-let rec compile_behavior ~name ~(ports : Model.port list)
-    (behavior : Model.behavior) : compiled_comp =
-  let out_ports =
-    List.filter_map
-      (fun (p : Model.port) ->
-        if p.port_dir = Model.Out then Some p.port_name else None)
-      ports
-  in
-  let in_ports =
-    List.filter_map
-      (fun (p : Model.port) ->
-        if p.port_dir = Model.In then Some p.port_name else None)
-      ports
-  in
-  match behavior with
-  | Model.B_dfd net -> compile_network ~name ~in_ports ~out_ports ~ssd:false net
-  | Model.B_ssd net -> compile_network ~name ~in_ports ~out_ports ~ssd:true net
-  | Model.B_exprs _ | Model.B_std _ | Model.B_mtd _ | Model.B_unspecified ->
-    (* atomic behaviors already run without name resolution *)
-    { cc_name = name;
-      cc_in_ports = in_ports;
-      cc_out_ports = out_ports;
-      cc_step =
-        (fun schedule tick inputs state ->
-          step_behavior ~schedule ~tick ~ports ~inputs behavior state);
-      cc_init = (fun () -> init_behavior ~ports behavior) }
-
-and compile_network ~name ~in_ports ~out_ports ~ssd (net : Model.network) =
-  let order =
-    if ssd then
-      List.map (fun (c : Model.component) -> c.comp_name) net.net_components
-    else
-      match Causality.evaluation_order net with
-      | Ok order -> order
-      | Error loops ->
-        sim_error "instantaneous loop in DFD %s: %s" net.net_name
-          (String.concat " <-> " (List.concat loops))
-  in
-  let route (ch : Model.channel) =
-    { rc_name = ch.ch_name;
-      rc_source =
-        (match ch.ch_src.ep_comp with
-         | None -> From_boundary ch.ch_src.ep_port
-         | Some comp -> From_component (comp, ch.ch_src.ep_port));
-      rc_delayed = channel_is_delayed ~ssd ch;
-      rc_present = fst (probe_channel_counters ch.ch_name);
-      rc_absent = snd (probe_channel_counters ch.ch_name) }
-  in
-  (* per sub-component, its compiled step and the driving channel of every
-     input port, resolved once *)
-  let compiled_subs =
-    List.map
-      (fun comp_name ->
-        let comp =
-          match Model.find_component net comp_name with
-          | Some c -> c
-          | None ->
-            sim_error "network %s: unknown component %s" net.net_name comp_name
-        in
-        let drivers =
-          List.filter_map
-            (fun (p : Model.port) ->
-              if p.port_dir <> Model.In then None
-              else
-                let driver =
-                  List.find_opt
-                    (fun (ch : Model.channel) ->
-                      ch.ch_dst.ep_comp = Some comp_name
-                      && String.equal ch.ch_dst.ep_port p.port_name)
-                    net.net_channels
-                in
-                Option.map (fun ch -> (p.port_name, route ch)) driver)
-            comp.comp_ports
-        in
-        ( comp_name,
-          drivers,
-          compile_behavior ~name:comp_name ~ports:comp.comp_ports
-            comp.comp_behavior,
-          probe_fire_counter comp_name ))
-      order
-  in
-  let boundary_channels =
-    List.filter_map
-      (fun (ch : Model.channel) ->
-        match ch.ch_dst.ep_comp with
-        | Some _ -> None
-        | None -> Some (ch.ch_dst.ep_port, route ch))
-      net.net_channels
-  in
-  let all_routes = List.map route net.net_channels in
-  let source_value computed inputs = function
-    | From_boundary port -> inputs port
-    | From_component (comp, port) ->
-      (match List.assoc_opt comp computed with
-       | Some outs -> lookup_outputs outs port
-       | None -> Value.Absent)
-  in
-  let channel_read buffers computed inputs (rc : routed_channel) =
-    if rc.rc_delayed then
-      match List.assoc_opt rc.rc_name buffers with
-      | Some buffered -> buffered
-      | None -> Value.Absent
-    else source_value computed inputs rc.rc_source
-  in
-  let cc_step schedule tick inputs state =
-    let ns =
-      match state with
-      | S_net ns -> ns
-      | S_exprs _ | S_std _ | S_mtd _ | S_unspec ->
-        sim_error "behavior/state shape mismatch"
-    in
-    let computed, sub' =
-      List.fold_left
-        (fun (computed, sub_states) (comp_name, drivers, cc, fire) ->
-          let st =
-            match List.assoc_opt comp_name ns.sub with
-            | Some st -> st
-            | None -> cc.cc_init ()
-          in
-          let comp_inputs port =
-            match List.assoc_opt port drivers with
-            | Some rc -> channel_read ns.buffers computed inputs rc
-            | None -> Value.Absent
-          in
-          if Probe.active () then begin
-            Probe.hit fire;
-            if Probe.spans_on () then Probe.enter ~tick comp_name
-          end;
-          let outs, st' = cc.cc_step schedule tick comp_inputs st in
-          if Probe.spans_on () then Probe.exit_ ~tick comp_name;
-          ((comp_name, outs) :: computed, (comp_name, st') :: sub_states))
-        ([], []) compiled_subs
-    in
-    let boundary_outputs =
-      List.map
-        (fun (port, rc) ->
-          (port, channel_read ns.buffers computed inputs rc))
-        boundary_channels
-    in
-    let buffers' =
-      List.map
-        (fun rc ->
-          let v = source_value computed inputs rc.rc_source in
-          if Probe.active () then
-            Probe.hit
-              (match v with
-               | Value.Present _ -> rc.rc_present
-               | Value.Absent -> rc.rc_absent);
-          (rc.rc_name, v))
-        all_routes
-    in
-    (boundary_outputs, S_net { ns with sub = List.rev sub'; buffers = buffers' })
-  in
-  let cc_init () =
-    S_net (init_net ~order net)
-  in
-  { cc_name = name; cc_in_ports = in_ports; cc_out_ports = out_ports;
-    cc_step; cc_init }
-
-let compile (comp : Model.component) =
-  compile_behavior ~name:comp.comp_name ~ports:comp.comp_ports
-    comp.comp_behavior
-
-let compiled_init (cc : compiled) = cc.cc_init ()
-
-let compiled_step ?(schedule = Clock.no_events) ~tick ~inputs (cc : compiled)
-    state =
-  let outs, state' = cc.cc_step schedule tick inputs state in
-  let outs =
-    List.map
-      (fun port -> (port, lookup_outputs outs port))
-      cc.cc_out_ports
-  in
-  (outs, state')
-
-let run_compiled ?(schedule = Clock.no_events) ~ticks ~inputs (cc : compiled) =
-  (* flows mirror [run]: declared input ports recorded at compile time
-     (sampling the stimulus instead used to drop trace columns for
-     inputs first offered at tick >= 4) *)
-  let in_names = cc.cc_in_ports in
-  let trace = Trace.make ~flows:(in_names @ cc.cc_out_ports) in
-  let rec go tick state trace =
-    if tick >= ticks then trace
-    else
-      let offered = inputs tick in
-      let input_fn port =
-        match List.assoc_opt port offered with
-        | Some msg -> msg
-        | None -> Value.Absent
-      in
-      if Probe.active () then begin
-        Probe.hit sim_ticks;
-        if Probe.spans_on () then Probe.enter ~tick ~cat:"tick" "tick"
-      end;
-      let outs, state' = compiled_step ~schedule ~tick ~inputs:input_fn cc state in
-      if Probe.spans_on () then Probe.exit_ ~tick ~cat:"tick" "tick";
-      let row = List.map (fun port -> (port, input_fn port)) in_names @ outs in
-      go (tick + 1) state' (Trace.record trace row)
-  in
-  go 0 (compiled_init cc) trace
-
-(* ------------------------------------------------------------------ *)
 (* Indexed simulation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Second lowering stage on top of {!compile}'s routing resolution:
-   every channel, sub-component output and delay register is numbered at
-   index time, so a per-tick driver lookup is an array read instead of
-   an assoc scan and the tick loop mutates pre-sized arrays in place.
+(* Lowering stage: channel routing is resolved once and every channel,
+   sub-component output and delay register is numbered at index time,
+   so finding a port's driving channel each tick is an array read
+   instead of the interpreter's by-name search and the tick loop
+   mutates pre-sized arrays in place.
    All mutable run-time state lives in {!ix_state} values created fresh
    by {!indexed_init}; an [indexed] value itself is immutable and can be
    shared freely, including across domains.
 
-   Per network and tick the phases mirror the other two engines exactly
-   (the trace-identity tests depend on it):
+   Per network and tick the phases mirror the interpreter exactly (the
+   trace-identity tests depend on it):
    1. sweep sub-components in evaluation order — instantaneous reads see
       the slots already written this tick, delayed reads the registers
       from last tick;
@@ -1107,7 +871,7 @@ let resume_indexed ?(schedule = Clock.no_events) ~ticks ~inputs
 (* Batched simulation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Third lowering stage: one compiled net stepped across N instances at
+(* Second lowering stage: one compiled net stepped across N instances at
    once (a "fleet").  Per-tick values live in struct-of-arrays planes —
    for every slot/register/port row, [instances] consecutive cells, one
    per instance — so the driver loops iterate the instance axis

@@ -55,43 +55,21 @@ val constant_inputs : (string * Value.t) list -> input_fn
 val no_inputs : input_fn
 (** The empty stimulus. *)
 
-(** {1 Compiled simulation}
-
-    {!step} resolves channels and components by name on every tick; for
-    long runs, {!compile} precomputes the routing (driving channel per
-    input port, evaluation order, boundary collection) once.  Compiled
-    and interpreted simulation produce identical traces (asserted in the
-    test-suite); the speedup is measured by the bench harness. *)
-
-type compiled
-
-val compile : Model.component -> compiled
-(** @raise Sim_error on instantaneous loops (as {!init}). *)
-
-val compiled_step :
-  ?schedule:Clock.schedule -> tick:int ->
-  inputs:(string -> Value.message) -> compiled -> comp_state ->
-  (string * Value.message) list * comp_state
-
-val compiled_init : compiled -> comp_state
-
-val run_compiled :
-  ?schedule:Clock.schedule -> ticks:int -> inputs:input_fn -> compiled ->
-  Trace.t
-(** Like {!run}, over a precompiled component. *)
-
 (** {1 Indexed simulation}
 
-    A second lowering stage on top of {!compile}: components, ports and
-    channels are numbered at index time, sub-states, delay registers and
-    per-tick outputs live in pre-sized arrays mutated in place, and a
-    driver lookup is an array read instead of a per-port assoc scan.
-    An {!indexed} value is immutable — all run-time mutation happens
-    inside the {!ix_state} created fresh by each {!indexed_init} call,
-    so one indexed component can drive many concurrent simulations
-    (including from different domains).  All three engines produce
-    identical traces (asserted in the test-suite); the speedup is
-    measured by the E17 bench section. *)
+    {!step} resolves channels and components by name on every tick; for
+    long runs, {!index} lowers the component once: the routing (driving
+    channel per input port, evaluation order, boundary collection) is
+    precomputed, components, ports and channels are numbered, sub-states,
+    delay registers and per-tick outputs live in pre-sized arrays
+    mutated in place, and finding a port's driving channel is an array
+    read instead of a per-port assoc scan.  An {!indexed} value is immutable — all
+    run-time mutation happens inside the {!ix_state} created fresh by
+    each {!indexed_init} call, so one indexed component can drive many
+    concurrent simulations (including from different domains).  The
+    interpreted engine ({!run}) is the oracle: every lowered engine
+    produces traces identical to it (asserted in the test-suite); the
+    speedup is measured by the E17 bench section. *)
 
 type indexed
 
@@ -181,7 +159,7 @@ val resume_indexed :
 
 (** {1 Batched simulation}
 
-    A third lowering stage on top of {!index}: one compiled net stepped
+    A second lowering stage on top of {!index}: one compiled net stepped
     across [instances] independent instances at once (a "fleet"), each
     with its own stimulus, clock schedule and (through the stimulus)
     fault seed.

@@ -9,11 +9,16 @@ let rec size : Expr.t -> int = function
 
 (* Fold a closed operator application faithfully: on a run-time failure
    (type error, division by zero, unknown function) the term is left
-   untouched so the error still happens at the original evaluation site. *)
+   untouched so the error still happens at the original evaluation site.
+   A NaN result is left unfolded too: [Const nan] is unequal to itself,
+   so the fixpoint below could never see the pass converge. *)
 let try_fold f original =
-  try f () with
-  | Value.Type_error _ | Division_by_zero | Invalid_argument _
-  | Block_lib.Unknown_function _ | Block_lib.Arity_error _ ->
+  match f () with
+  | Expr.Const (Value.Float x) when Float.is_nan x -> original
+  | folded -> folded
+  | exception
+      ( Value.Type_error _ | Division_by_zero | Invalid_argument _
+      | Block_lib.Unknown_function _ | Block_lib.Arity_error _ ) ->
     original
 
 let fold_unop op v original =
@@ -48,15 +53,19 @@ let fold_binop op a b original =
          | Expr.Max -> Value.max_v a b))
     original
 
+(* Neutral elements are integer constants only: arithmetic with an [Int]
+   constant keeps the other operand's type ([Float] stays [Float]), while
+   a [Float] constant promotes an [Int] operand ([x * 1.0] is a [Float]),
+   so dropping it would change the result's type. *)
 let is_zero = function
   | Value.Int 0 -> true
-  | Value.Float f -> Float.equal f 0.
-  | Value.Int _ | Value.Bool _ | Value.Enum _ | Value.Tuple _ -> false
+  | Value.Int _ | Value.Float _ | Value.Bool _ | Value.Enum _ | Value.Tuple _
+    -> false
 
 let is_one = function
   | Value.Int 1 -> true
-  | Value.Float f -> Float.equal f 1.
-  | Value.Int _ | Value.Bool _ | Value.Enum _ | Value.Tuple _ -> false
+  | Value.Int _ | Value.Float _ | Value.Bool _ | Value.Enum _ | Value.Tuple _
+    -> false
 
 let negated_cmp = function
   | Expr.Eq -> Some Expr.Ne

@@ -23,7 +23,8 @@ val expr : Expr.t -> Expr.t
       when [c] cannot be absent, i.e. [c] is constant);
     - neutral elements on the always-present side: [e + 0], [e - 0],
       [e * 1], [e / 1], [b && true], [b || false] where the constant is
-      the {e other} operand;
+      the {e other} operand (integer [0] / [1] only: a float constant
+      would promote an integer [e] to a float);
     - double negation, [not] of comparisons;
     - nested [When] on the same clock;
     - idempotent [min]/[max] with equal constant operands. *)

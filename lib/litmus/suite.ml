@@ -216,9 +216,7 @@ let replay ?(domains = 1) ?model ~twin ~alphabet suite =
       else Ok ()
   in
   let results =
-    let work e = (e, check e) in
-    if domains > 1 then Parallel.map ~domains work suite.suite_entries
-    else List.map work suite.suite_entries
+    Parallel.map ~domains (fun e -> (e, check e)) suite.suite_entries
   in
   let model_regression =
     match model with

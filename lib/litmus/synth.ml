@@ -104,62 +104,40 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
     | Some c ->
       c.cache_store (key_of c canon) ("canon " ^ canon ^ "\n" ^ Eval.encode cls)
   in
-  let eval_one scenario =
-    match lookup scenario with
-    | scenario, _, Some cls -> (scenario, cls, true)
-    | scenario, canon, None ->
-      let cls = Eval.evaluate twin ~nominal scenario in
-      store canon cls;
-      (scenario, cls, false)
+  (* probe the cache serially, sweep the misses' faulty traces through
+     the campaign executor (one case per scenario and twin side) and
+     classify them in enumeration order *)
+  let probed = List.map lookup scenarios in
+  let opss =
+    Array.of_list
+      (List.filter_map
+         (fun (s, _, hit) -> if hit = None then Some (Space.ops s) else None)
+         probed)
   in
-  let eval_batched () =
-    (* probe the cache serially, batch the misses' faulty traces — one
-       instance column per (scenario, twin side) — and splice the fresh
-       classifications back in enumeration order *)
-    let probed = List.map lookup scenarios in
-    let missing =
-      List.filter_map
-        (fun (s, canon, hit) -> if hit = None then Some (s, canon) else None)
-        probed
-    in
-    let fresh =
-      if missing = [] then []
-      else
-        let opss = Array.of_list (List.map (fun (s, _) -> Space.ops s) missing) in
-        let faulty_u =
-          Builder.trace_cases ~domains ~instances ~share:prefix_share
-            twin.Eval.unguarded ~seed:0 ~ticks:horizon opss
-        in
-        let faulty_g =
-          Builder.trace_cases ~domains ~instances ~share:prefix_share
-            twin.Eval.guarded ~seed:0 ~ticks:(Builder.ticks twin.Eval.guarded)
-            opss
-        in
-        List.mapi
-          (fun i (s, canon) ->
-            let cls =
-              Eval.evaluate_traces twin ~nominal ~canon
-                ~faulty_unguarded:faulty_u.(i) ~faulty_guarded:faulty_g.(i)
-            in
-            store canon cls;
-            (s, cls))
-          missing
-    in
-    let rest = ref fresh in
-    List.map
-      (fun (s, _, hit) ->
-        match (hit, !rest) with
-        | Some cls, _ -> (s, cls, true)
-        | None, (_, cls) :: tl ->
-          rest := tl;
-          (s, cls, false)
-        | None, [] -> assert false)
-      probed
+  let faulty_u =
+    Builder.trace_cases ~domains ~instances ~share:prefix_share
+      twin.Eval.unguarded ~seed:0 ~ticks:horizon opss
   in
+  let faulty_g =
+    Builder.trace_cases ~domains ~instances ~share:prefix_share
+      twin.Eval.guarded ~seed:0 ~ticks:(Builder.ticks twin.Eval.guarded) opss
+  in
+  let next_miss = ref 0 in
   let evaluated =
-    if instances > 1 || prefix_share then eval_batched ()
-    else if domains > 1 then Parallel.map ~domains eval_one scenarios
-    else List.map eval_one scenarios
+    List.map
+      (fun (s, canon, hit) ->
+        match hit with
+        | Some cls -> (s, cls, true)
+        | None ->
+          let i = !next_miss in
+          incr next_miss;
+          let cls =
+            Eval.evaluate_traces twin ~nominal ~canon
+              ~faulty_unguarded:faulty_u.(i) ~faulty_guarded:faulty_g.(i)
+          in
+          store canon cls;
+          (s, cls, false))
+      probed
   in
   let cache_hits =
     List.length (List.filter (fun (_, _, hit) -> hit) evaluated)

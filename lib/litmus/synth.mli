@@ -76,21 +76,19 @@ val run :
   ?cache:cache -> ?config:config -> ?domains:int -> ?instances:int ->
   ?prefix_share:bool -> twin:Eval.twin -> alphabet:Alphabet.t -> unit ->
   result
-(** Synthesize.  With [?instances] > 1 the cache-missing scenarios'
-    faulty traces run through the struct-of-arrays batched engine
-    ({!Automode_proptest.Builder.trace_cases}, one instance column per
-    scenario and twin side) and are classified with
-    {!Eval.evaluate_traces} in enumeration order — the result, the
-    report and the cache contents are byte-identical to the looped
-    evaluation.  [?prefix_share] (default [true]) additionally routes
-    the evaluation through the prefix-sharing executor
-    ({!Automode_robust.Prefix.traces}): the fault-free prefix common to
-    the enumerated scenarios simulates once per distinct first-effect
-    tick and only suffixes replay — exact when scenarios activate late
-    in the horizon, and byte-identical to the looped evaluation by
-    construction in every mode.  Pass [~prefix_share:false] to force
-    the straight per-scenario loop.  @raise Invalid_argument on a
-    non-positive bound, cap, domain or instance count. *)
+(** Synthesize.  Every scenario is first looked up in [?cache]; the
+    missing scenarios' faulty traces are then swept in one go through
+    {!Automode_proptest.Builder.trace_cases} (one case per scenario and
+    twin side) under the plan [?domains], [?instances] (both default 1)
+    and [?prefix_share] (default [true]), and classified with
+    {!Eval.evaluate_traces} in enumeration order.  [?instances] steps
+    the sweep through the batched engine; [?prefix_share] simulates the
+    fault-free prefix common to the enumerated scenarios once per
+    distinct first-effect tick and replays only suffixes — exact when
+    scenarios activate late in the horizon.  The result, the report and
+    the cache contents are byte-identical under every plan.
+    @raise Invalid_argument on a non-positive bound, cap, domain or
+    instance count. *)
 
 val gate : result -> bool
 (** The CI gate: at least one minimal distinguishing scenario found

@@ -1,13 +1,7 @@
 open Automode_core
 open Automode_robust
 
-type engine = Interpreted | Compiled | Indexed
-
-(* The three engines behind one closure type: a compiled form is forced
-   lazily (and shared across a domain fan-out via [prepare]), and every
-   run creates fresh run-time state, so one spec can drive many
-   concurrent simulations. *)
-type runner = schedule:Clock.schedule -> ticks:int -> inputs:Sim.input_fn -> Trace.t
+type engine = Interpreted | Indexed
 
 type t = {
   spec_name : string;
@@ -23,31 +17,12 @@ type t = {
   events : (string * string) list;  (* (event clock, flow), newest first *)
   base_schedule : Fault.t list -> Clock.schedule;
   engine : engine;
-  ixc : Sim.indexed Lazy.t;   (* shared by the Indexed runner and the
-                                 batched ([?instances]) path *)
-  runner : runner Lazy.t;
+  ixc : Sim.indexed Lazy.t;  (* forced by [prepare], shared across domains *)
   iters : int;
 }
 
-let make_runner engine comp ixc =
-  match engine with
-  | Interpreted ->
-    lazy
-      (fun ~schedule ~ticks ~inputs -> Sim.run ~schedule ~ticks ~inputs comp)
-  | Compiled ->
-    lazy
-      (let compiled = Sim.compile comp in
-       fun ~schedule ~ticks ~inputs ->
-         Sim.run_compiled ~schedule ~ticks ~inputs compiled)
-  | Indexed ->
-    lazy
-      (let indexed = Lazy.force ixc in
-       fun ~schedule ~ticks ~inputs ->
-         Sim.run_indexed ~schedule ~ticks ~inputs indexed)
-
 let spec ~name ~component ~ticks ?(inputs = Sim.no_inputs) () =
   if ticks < 0 then invalid_arg "Builder.spec: negative horizon";
-  let ixc = lazy (Sim.index component) in
   { spec_name = name;
     comp = component;
     spec_ticks = ticks;
@@ -61,8 +36,7 @@ let spec ~name ~component ~ticks ?(inputs = Sim.no_inputs) () =
     events = [];
     base_schedule = (fun _ -> Clock.no_events);
     engine = Indexed;
-    ixc;
-    runner = make_runner Indexed component ixc;
+    ixc = lazy (Sim.index component);
     iters = 1 }
 
 let with_ops ?(min_ops = 1) ?(max_ops = 8) gens t =
@@ -82,8 +56,7 @@ let with_observers observers t =
 let with_event ~event ~flow t = { t with events = (event, flow) :: t.events }
 let with_schedule base_schedule t = { t with base_schedule }
 
-let with_engine engine t =
-  { t with engine; runner = make_runner engine t.comp t.ixc }
+let with_engine engine t = { t with engine }
 
 let with_iterations iters t =
   if iters < 1 then invalid_arg "Builder.with_iterations: non-positive count";
@@ -95,9 +68,7 @@ let component t = t.comp
 let iterations t = t.iters
 let monitors t = List.map Monitor.name t.mons
 let generators t = List.map (fun g -> (Opgen.name g, Opgen.weight g)) t.gens
-let prepare t =
-  let _ : runner = Lazy.force t.runner in
-  ()
+let prepare t = ignore (Lazy.force t.ixc)
 
 let expand t ~seed ~iteration =
   if t.gens = [] then []
@@ -122,7 +93,10 @@ let schedule_of t faults =
 
 let trace_of t ~faults ~ticks =
   let inputs = Fault.apply faults t.inputs in
-  (Lazy.force t.runner) ~schedule:(schedule_of t faults) ~ticks ~inputs
+  let schedule = schedule_of t faults in
+  match t.engine with
+  | Interpreted -> Sim.run ~schedule ~ticks ~inputs t.comp
+  | Indexed -> Sim.run_indexed ~schedule ~ticks ~inputs (Lazy.force t.ixc)
 
 let verdicts_of t tr = List.map (fun m -> (Monitor.name m, Monitor.eval m tr)) t.mons
 
@@ -134,23 +108,30 @@ let run_ops t ~seed ~ops ~ticks =
 let trace_ops t ~seed ~ops ~ticks =
   trace_of t ~faults:(faults_of t ~seed ~ops) ~ticks
 
-(* Batched traces over many op lists of one spec: the prefix-sharing
-   executor when [share] is set or [instances > 1] and the spec runs
-   the Indexed engine, a plain [trace_ops] loop otherwise.  Trace i
-   belongs to opss.(i); all paths are byte-identical. *)
-let trace_cases ?(domains = 1) ?(instances = 1) ?(share = false) t ~seed
-    ~ticks opss =
-  if (instances > 1 || share) && t.engine = Indexed then
+(* The traces of many fault lists of one spec, in order: the interpreted
+   oracle loops over them, the indexed engine runs them through the
+   campaign executor. *)
+let traces t ~domains ~instances ~share ~ticks faultss =
+  match t.engine with
+  | Interpreted ->
+    Array.of_list
+      (Parallel.map ~domains
+         (fun faults -> trace_of t ~faults ~ticks)
+         (Array.to_list faultss))
+  | Indexed ->
     let cases =
       Array.map
-        (fun ops ->
-          let faults = faults_of t ~seed ~ops in
+        (fun faults ->
           (faults, Fault.apply faults t.inputs, schedule_of t faults))
-        opss
+        faultss
     in
     Prefix.traces ~domains ~instances ~share ~ix:(Lazy.force t.ixc) ~ticks
       ~base_inputs:t.inputs ~base_schedule:(schedule_of t []) cases
-  else Array.map (fun ops -> trace_ops t ~seed ~ops ~ticks) opss
+
+let trace_cases ?(domains = 1) ?(instances = 1) ?(share = false) t ~seed
+    ~ticks opss =
+  traces t ~domains ~instances ~share ~ticks
+    (Array.map (fun ops -> faults_of t ~seed ~ops) opss)
 
 let eval_monitors t tr = verdicts_of t tr
 
@@ -315,12 +296,11 @@ let case_failures ?(shrink = true) t case =
             shrunk })
     case.verdicts
 
-(* Batched case execution: expand every (seed, iteration) case's op
-   sequence up front, step all stimuli through the batched engine, then
-   evaluate observers and monitors in case order.  Only meaningful for
-   the Indexed engine — the other engines exist to be compared against
-   and stay looped. *)
-let run_cases_batched ~domains ~instances ~share t ~seeds =
+let run ?(shrink = true) ?(domains = 1) ?(instances = 1)
+    ?(prefix_share = true) t ~seeds =
+  prepare t;
+  (* expand every (seed, iteration) case up front, sweep all of them,
+     then run observers and monitors in case order *)
   let specs =
     Array.of_list
       (List.concat_map
@@ -330,39 +310,18 @@ let run_cases_batched ~domains ~instances ~share t ~seeds =
   let opss =
     Array.map (fun (seed, iteration) -> expand t ~seed ~iteration) specs
   in
-  let faultss =
-    Array.mapi (fun i ops -> faults_of t ~seed:(fst specs.(i)) ~ops) opss
-  in
-  let cases =
-    Array.map
-      (fun faults ->
-        (faults, Fault.apply faults t.inputs, schedule_of t faults))
-      faultss
-  in
   let traces =
-    Prefix.traces ~domains ~instances ~share ~ix:(Lazy.force t.ixc)
-      ~ticks:t.spec_ticks ~base_inputs:t.inputs
-      ~base_schedule:(schedule_of t []) cases
+    traces t ~domains ~instances ~share:prefix_share ~ticks:t.spec_ticks
+      (Array.mapi (fun i ops -> faults_of t ~seed:(fst specs.(i)) ~ops) opss)
   in
-  Array.to_list
-    (Array.mapi
-       (fun i tr ->
-         List.iter (fun obs -> obs tr) t.observers;
-         let seed, iteration = specs.(i) in
-         { seed; iteration; ops = opss.(i); verdicts = verdicts_of t tr })
-       traces)
-
-let run ?(shrink = true) ?(domains = 1) ?(instances = 1)
-    ?(prefix_share = true) t ~seeds =
-  prepare t;
   let cases =
-    if (instances > 1 || prefix_share) && t.engine = Indexed then
-      run_cases_batched ~domains ~instances ~share:prefix_share t ~seeds
-    else
-      let cases_of_seed seed =
-        List.init t.iters (fun i -> run_case t ~seed ~iteration:(i + 1))
-      in
-      List.concat (Parallel.map ~domains cases_of_seed seeds)
+    Array.to_list
+      (Array.mapi
+         (fun i tr ->
+           List.iter (fun obs -> obs tr) t.observers;
+           let seed, iteration = specs.(i) in
+           { seed; iteration; ops = opss.(i); verdicts = verdicts_of t tr })
+         traces)
   in
   let failures = List.concat_map (case_failures ~shrink t) cases in
   { spec_name = t.spec_name;

@@ -19,7 +19,10 @@
 open Automode_core
 open Automode_robust
 
-type engine = Interpreted | Compiled | Indexed
+type engine = Interpreted | Indexed
+(** [Interpreted] is the oracle ({!Automode_core.Sim.run}); [Indexed]
+    (the default) runs the lowered engine and, for sweeps, the campaign
+    executor {!Automode_robust.Prefix.traces}. *)
 
 type t
 (** A test specification (immutable; the [with_*] combinators return
@@ -67,9 +70,9 @@ val with_schedule : (Fault.t list -> Clock.schedule) -> t -> t
 (** Replace the base schedule derivation (default: no event fires). *)
 
 val with_engine : engine -> t -> t
-(** Choose the simulation engine (default {!Indexed}); all three
-    produce identical traces, so campaigns and shrunk counterexamples
-    are engine-independent — pinned in the test-suite. *)
+(** Choose the simulation engine (default {!Indexed}); both produce
+    identical traces, so campaigns and shrunk counterexamples are
+    engine-independent — pinned in the test-suite. *)
 
 val with_iterations : int -> t -> t
 (** Generated sequences per seed (default 1).
@@ -94,8 +97,8 @@ val generators : t -> (string * int) list
 (** Declared generator (name, weight) pairs, in declaration order. *)
 
 val prepare : t -> unit
-(** Force the engine compilation now, so parallel sweeps share the
-    immutable compiled form instead of racing on the lazy. *)
+(** Force the index compilation now, so parallel sweeps share the
+    immutable indexed form instead of racing on the lazy. *)
 
 val expand : t -> seed:int -> iteration:int -> Op.t list
 (** The operation sequence of (seed, iteration) — pure
@@ -127,15 +130,16 @@ val trace_cases :
   ?domains:int -> ?instances:int -> ?share:bool -> t -> seed:int ->
   ticks:int -> Op.t list array -> Trace.t array
 (** {!trace_ops} over many operation lists at once: trace [i] belongs
-    to element [i] of the input.  With [?instances] > 1 or
-    [~share:true] (default [false]) and the {!Indexed} engine the
-    lists run through the prefix-sharing executor
-    ({!Automode_robust.Prefix.traces}, sharded over [?domains]):
-    [share] simulates the fault-free prefix common to the compiled op
-    sequences once and replays only suffixes; [instances] forks
-    snapshots across the batched engine's instance axis.  Otherwise
-    they loop through {!trace_ops}.  All paths yield byte-identical
-    traces — this is the litmus synthesis fan-out primitive. *)
+    to element [i] of the input.  On the {!Indexed} engine the lists
+    run through the campaign executor
+    ({!Automode_robust.Prefix.traces}) under the plan [?domains]
+    (default 1), [?instances] (default 1) and [~share] (default
+    [false]): [share] simulates the fault-free prefix common to the
+    compiled op sequences once and replays only suffixes; [instances]
+    steps the cases through the batched engine.  The {!Interpreted}
+    oracle loops through {!trace_ops} over [?domains].  Every plan
+    yields byte-identical traces — this is the litmus synthesis fan-out
+    primitive. *)
 
 val eval_monitors : t -> Trace.t -> (string * Monitor.verdict) list
 (** Judge an already-recorded trace against every attached monitor, in
@@ -195,16 +199,13 @@ val case_failures : ?shrink:bool -> t -> case -> failure list
 val run :
   ?shrink:bool -> ?domains:int -> ?instances:int -> ?prefix_share:bool ->
   t -> seeds:int list -> campaign
-(** The full sweep: [iterations] cases per seed, fanned out over
-    [?domains] (default 1) per-seed via
-    {!Automode_robust.Parallel.map} and merged back in seed order;
-    shrinking always runs serially after the sweep.  [?instances]
-    (default 1) batches the cases through the struct-of-arrays engine
-    and [?prefix_share] (default [true]) shares the fault-free prefix
-    common to the generated op sequences via
-    {!Automode_robust.Prefix.traces} when the spec runs the [Indexed]
-    engine — observers then fire in case order, and the campaign is
-    byte-identical to the looped run in every mode. *)
+(** The full sweep: [iterations] cases per seed.  Every case is
+    expanded up front and all of them are simulated in one sweep, as
+    {!trace_cases} does (plan [?domains], [?instances], both default 1,
+    and [?prefix_share], default [true]); then observers and monitors
+    run over the traces in case order — also under
+    [~prefix_share:false].  Shrinking always runs serially after the
+    sweep.  The campaign is byte-identical under every plan. *)
 
 val gate : campaign -> bool
 (** [true] iff the campaign has no failures — the CI exit-code gate. *)

@@ -1,7 +1,9 @@
 open Automode_core
 open Automode_obs
 
-(* Checkpointed prefix-sharing campaign execution.
+(* The campaign executor: checkpointed prefix-sharing execution, which
+   degenerates to plain looped or batched execution when nothing forks
+   late or sharing is off.
 
    Every case of a campaign simulates the same compiled net under the
    same base stimulus until its fault catalog first takes effect
@@ -24,146 +26,108 @@ open Automode_obs
    themselves (schedule agreeing with the fault-free one below the
    first activation) or disable sharing. *)
 
-let key_groups = "campaign.prefix.groups"
-let key_forks = "campaign.prefix.forks"
-let key_shared = "campaign.prefix.shared_ticks"
-let key_replayed = "campaign.prefix.replayed_ticks"
-
-(* Distinct values, ascending. *)
-let distinct_sorted (forks : int array) =
-  let ordered = List.sort_uniq Int.compare (Array.to_list forks) in
-  ordered
-
-let count_stats ~ticks ~trunk forks =
-  if Probe.active () then begin
-    let resumed = ref 0 and shared = ref 0 and replayed = ref trunk in
-    Array.iter
-      (fun f ->
-        if f > 0 then begin
-          incr resumed;
-          shared := !shared + f
-        end;
-        replayed := !replayed + (ticks - f))
-      forks;
-    Probe.count ~by:!resumed key_forks;
-    Probe.count ~by:!shared key_shared;
-    Probe.count ~by:!replayed key_replayed
-  end
-
 let traces ?(domains = 1) ?(instances = 1) ?(share = true) ~ix ~ticks
     ~base_inputs ~base_schedule
     (cases : (Fault.t list * Sim.input_fn * Clock.schedule) array) :
     Trace.t array =
   let n = Array.length cases in
-  let plain () =
-    let pairs = Array.map (fun (_, inputs, sched) -> (inputs, sched)) cases in
-    if instances <= 1 && domains > 1 && n > 1 then
-      Array.of_list
-        (Parallel.map ~domains
-           (fun (inputs, schedule) ->
-             Sim.run_indexed ~schedule ~ticks ~inputs ix)
-           (Array.to_list pairs))
-    else Fleet.traces ~domains ~instances ~ix ~ticks pairs
+  let share = share && n > 0 && ticks > 0 in
+  (* a case forks from the trunk at its first fault effect; without
+     sharing every case forks at tick 0 *)
+  let forks =
+    Array.map
+      (fun (faults, _, _) ->
+        if share then Fault.first_effect_tick faults ~horizon:ticks else 0)
+      cases
   in
-  if (not share) || n = 0 || ticks <= 0 then plain ()
-  else begin
-    let forks =
-      Array.map
-        (fun (faults, _, _) -> Fault.first_effect_tick faults ~horizon:ticks)
-        cases
+  let fork_ticks = List.sort_uniq Int.compare (Array.to_list forks) in
+  let max_fork = Array.fold_left max 0 forks in
+  let width = min instances n in
+  (* trunk snapshots: one per fork tick once any case forks late — the
+     looped path runs its tick-0 cases from scratch instead *)
+  let at =
+    if max_fork = 0 then []
+    else List.filter (fun t -> t > 0 || width > 1) fork_ticks
+  in
+  if share && Probe.active () then begin
+    let late = List.filter (fun f -> f > 0) (Array.to_list forks) in
+    if at <> [] then Probe.count ~by:(List.length at) "campaign.prefix.groups";
+    Probe.count ~by:(List.length late) "campaign.prefix.forks";
+    Probe.count ~by:(List.fold_left ( + ) 0 late)
+      "campaign.prefix.shared_ticks";
+    Probe.count
+      ~by:(Array.fold_left (fun acc f -> acc + ticks - f) max_fork forks)
+      "campaign.prefix.replayed_ticks"
+  end;
+  if width <= 1 then begin
+    (* looped: one serial trunk run captures every snapshot, then the
+       cases run in case order over [domains] (a resume steps a private
+       copy of the snapshot state) *)
+    let trunk =
+      List.combine at
+        (Sim.snapshot_run ~schedule:base_schedule ~at ~inputs:base_inputs ix)
     in
-    let max_fork = Array.fold_left max 0 forks in
-    if max_fork = 0 then begin
-      (* degenerate: every case diverges at tick 0 — nothing to share *)
-      count_stats ~ticks ~trunk:0 forks;
-      plain ()
-    end
-    else if instances <= 1 then begin
-      (* indexed path: one serial trunk run captures a snapshot per
-         distinct fork tick, then cases resume in parallel (a resume
-         steps a private copy of the snapshot state) *)
-      let at = List.filter (fun t -> t > 0) (distinct_sorted forks) in
-      if Probe.active () then Probe.count ~by:(List.length at) key_groups;
-      count_stats ~ticks ~trunk:(List.fold_left max 0 at) forks;
-      let snaps =
-        Sim.snapshot_run ~schedule:base_schedule ~at ~inputs:base_inputs ix
-      in
-      let tbl = Hashtbl.create 16 in
-      List.iter2 (fun t s -> Hashtbl.replace tbl t s) at snaps;
-      Array.of_list
-        (Parallel.map ~domains
-           (fun idx ->
-             let _, inputs, schedule = cases.(idx) in
-             let fork = forks.(idx) in
-             if fork = 0 then Sim.run_indexed ~schedule ~ticks ~inputs ix
-             else
-               Sim.resume_indexed ~schedule ~ticks ~inputs
-                 (Hashtbl.find tbl fork))
-           (List.init n Fun.id))
-    end
-    else begin
-      (* batched path: the trunk advances column 0 span by span,
-         capturing a snapshot at each distinct fork tick; each fork
-         group then restores its snapshot across the instance axis and
-         replays only [fork, ticks) *)
-      let at = distinct_sorted forks in
-      if Probe.active () then Probe.count ~by:(List.length at) key_groups;
-      count_stats ~ticks ~trunk:(List.fold_left max 0 at) forks;
-      let width = min instances n in
-      let b = Sim.batch ~instances:width ix in
-      let trunk_inputs _ = base_inputs in
-      let trunk_scheds _ = base_schedule in
-      let snaps = Hashtbl.create 16 in
-      let prev = ref 0 in
-      let first = ref true in
-      List.iter
-        (fun t ->
-          if !first then begin
-            first := false;
-            Sim.run_batch ~count:1 ~start:0 ~stop:t ~ticks
-              ~inputs:trunk_inputs ~schedules:trunk_scheds b
-          end
-          else
-            Sim.run_batch ~count:1 ~start:!prev ~stop:t ~reset:false ~ticks
-              ~inputs:trunk_inputs ~schedules:trunk_scheds b;
-          prev := t;
-          Hashtbl.replace snaps t (Sim.batch_snapshot b ~instance:0 ~tick:t))
-        at;
-      let out = Array.make n None in
-      List.iter
-        (fun t ->
-          let idxs = ref [] in
-          Array.iteri
-            (fun i f -> if f = t then idxs := i :: !idxs)
-            forks;
-          let idxs = Array.of_list (List.rev !idxs) in
-          let group_n = Array.length idxs in
-          let snap = Hashtbl.find snaps t in
-          let pos = ref 0 in
-          while !pos < group_n do
-            let lo = !pos in
-            let count = min width (group_n - lo) in
-            for j = 0 to count - 1 do
-              Sim.batch_restore b snap ~instance:j
-            done;
-            Sim.run_batch ~count ~start:t ~stop:ticks ~reset:false ~ticks
-              ~inputs:(fun j ->
-                let _, inputs, _ = cases.(idxs.(lo + j)) in
-                inputs)
-              ~schedules:(fun j ->
-                let _, _, sched = cases.(idxs.(lo + j)) in
-                sched)
-              ~shards:domains
-              ~map:(fun thunks ->
-                ignore (Parallel.map ~domains (fun f -> f ()) thunks))
-              b;
-            (* materialize before the next chunk reuses the columns *)
-            for j = 0 to count - 1 do
-              out.(idxs.(lo + j)) <- Some (Sim.batch_trace b ~instance:j)
-            done;
-            pos := lo + count
-          done)
-        at;
-      Array.map (function Some t -> t | None -> assert false) out
-    end
+    Array.of_list
+      (Parallel.map ~domains
+         (fun i ->
+           let _, inputs, schedule = cases.(i) in
+           match List.assoc_opt forks.(i) trunk with
+           | Some snap -> Sim.resume_indexed ~schedule ~ticks ~inputs snap
+           | None -> Sim.run_indexed ~schedule ~ticks ~inputs ix)
+         (List.init n Fun.id))
+  end
+  else begin
+    (* batched: the trunk advances column 0 span by span, capturing a
+       snapshot at each tick of [at]; each fork group then restores its
+       snapshot across the instance axis (or, without one, resets) and
+       replays [fork, ticks) chunk by chunk *)
+    let b = Sim.batch ~instances:width ix in
+    let start = ref 0 in
+    let trunk =
+      List.mapi
+        (fun k t ->
+          Sim.run_batch ~count:1 ~start:!start ~stop:t ~reset:(k = 0) ~ticks
+            ~inputs:(fun _ -> base_inputs)
+            ~schedules:(fun _ -> base_schedule)
+            b;
+          start := t;
+          (t, Sim.batch_snapshot b ~instance:0 ~tick:t))
+        at
+    in
+    let out = Array.make n None in
+    List.iter
+      (fun t ->
+        let group =
+          Array.of_list
+            (List.filter (fun i -> forks.(i) = t) (List.init n Fun.id))
+        in
+        let snap = List.assoc_opt t trunk in
+        for chunk = 0 to (Array.length group - 1) / width do
+          let lo = chunk * width in
+          let count = min width (Array.length group - lo) in
+          let case j = cases.(group.(lo + j)) in
+          Option.iter
+            (fun s ->
+              for j = 0 to count - 1 do
+                Sim.batch_restore b s ~instance:j
+              done)
+            snap;
+          Sim.run_batch ~count ~start:t ~reset:(Option.is_none snap) ~ticks
+            ~inputs:(fun j ->
+              let _, inputs, _ = case j in
+              inputs)
+            ~schedules:(fun j ->
+              let _, _, schedule = case j in
+              schedule)
+            ~shards:domains
+            ~map:(fun thunks ->
+              ignore (Parallel.map ~domains (fun f -> f ()) thunks))
+            b;
+          (* materialize before the next chunk reuses the columns *)
+          for j = 0 to count - 1 do
+            out.(group.(lo + j)) <- Some (Sim.batch_trace b ~instance:j)
+          done
+        done)
+      fork_ticks;
+    Array.map Option.get out
   end

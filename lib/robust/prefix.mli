@@ -1,9 +1,11 @@
-(** Checkpointed prefix-sharing campaign execution.
+(** The campaign executor: every campaign sweep simulates its cases
+    here, under the plan [?domains] x [?instances] x [?share].
 
+    With sharing on, it is checkpointed prefix-sharing execution.
     Campaign cases over one compiled net are byte-identical until their
     fault catalogs first take effect: every fault kind passes the
     original stimulus through while inactive, and schedules derived via
-    {!Fault.schedule_of_faults} only add events at active ticks.  This
+    {!Fault.schedule_of_faults} only add events at active ticks.  The
     executor therefore simulates the fault-free {e trunk} once,
     snapshots it at every distinct first-effect tick
     ({!Fault.first_effect_tick}), and replays only the per-case
@@ -11,9 +13,12 @@
     (asserted by the test-suite for all five campaign kinds, pinned by
     bench section E22).
 
-    Probe counters (no-ops without a sink, as all probes):
-    - [campaign.prefix.groups] — distinct fork ticks (snapshots taken);
-    - [campaign.prefix.forks] — cases resumed from a snapshot;
+    Probe counters (no-ops without a sink, as all probes), counted only
+    with sharing on:
+    - [campaign.prefix.groups] — trunk snapshots taken (counted only
+      when some case forks after tick 0);
+    - [campaign.prefix.forks] — cases resumed from a snapshot after
+      tick 0;
     - [campaign.prefix.shared_ticks] — prefix ticks {e not}
       re-simulated, summed over resumed cases;
     - [campaign.prefix.replayed_ticks] — ticks actually simulated
@@ -41,11 +46,17 @@ val traces :
     base.  Callers with hand-written schedules that consult the fault
     list before its first activation must pass [~share:false].
 
-    With [~share:false] (or when every case forks at tick 0, or
-    [ticks = 0]) execution falls back to plain looped/fleet execution:
-    {!Fleet.traces} when [instances > 1], else one [run_indexed] per
-    case fanned out over [domains].  With sharing on, [instances > 1]
-    forks each snapshot across the instance axis of a {!Sim.batch}
-    ([run_batch]'s span API), so prefix sharing composes with both
-    [--instances] and [--domains].  The result is byte-identical in
-    every mode. *)
+    Cases are grouped by fork tick: their first fault effect with
+    [~share:true] (the default), tick 0 for every case with
+    [~share:false].  A group with a trunk snapshot resumes from it; a
+    tick-0 group without one runs from scratch.  With
+    [min instances (length cases) <= 1] (default [instances] 1) the
+    cases run one by one, in case order, fanned out over a [domains]
+    (default 1) {!Parallel.map} pool: [run_indexed], or
+    [resume_indexed] for a case that forks after tick 0.  Otherwise
+    each group is stepped in chunks through one {!Sim.batch} of that
+    width, its instance axis sharded over [domains]: restored from the
+    group's snapshot ([batch_restore] plus a [~reset:false] span), or
+    reset and run from tick 0 when there is none; once any case forks
+    late, the batched trunk snapshots tick 0 as well.  The result is
+    byte-identical under every plan. *)

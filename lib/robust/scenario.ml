@@ -84,30 +84,25 @@ let run_seeds ?(domains = 1) ?(instances = 1) ?(prefix_share = true) s ~seeds
   (* Force the index compilation before fanning out, so domains share
      the immutable compiled form instead of racing on the lazy. *)
   prepare s;
-  if instances <= 1 && not prefix_share then
-    Parallel.map ~domains (fun seed -> run_seed s ~seed) seeds
-  else begin
-    let seeds = Array.of_list seeds in
-    let injected = Array.map s.faults_of_seed seeds in
-    let cases =
-      Array.map
-        (fun faults ->
-          (faults, Fault.apply faults s.inputs, s.schedule faults))
-        injected
-    in
-    let traces =
-      Prefix.traces ~domains ~instances ~share:prefix_share
-        ~ix:(Lazy.force s.indexed) ~ticks:s.ticks ~base_inputs:s.inputs
-        ~base_schedule:(s.schedule []) cases
-    in
-    Array.to_list
-      (Array.mapi
-         (fun i tr ->
-           { seed = seeds.(i);
-             injected = injected.(i);
-             verdicts = verdicts_of_trace s tr })
-         traces)
-  end
+  let seeds = Array.of_list seeds in
+  let injected = Array.map s.faults_of_seed seeds in
+  let cases =
+    Array.map
+      (fun faults -> (faults, Fault.apply faults s.inputs, s.schedule faults))
+      injected
+  in
+  let traces =
+    Prefix.traces ~domains ~instances ~share:prefix_share
+      ~ix:(Lazy.force s.indexed) ~ticks:s.ticks ~base_inputs:s.inputs
+      ~base_schedule:(s.schedule []) cases
+  in
+  Array.to_list
+    (Array.mapi
+       (fun i tr ->
+         { seed = seeds.(i);
+           injected = injected.(i);
+           verdicts = verdicts_of_trace s tr })
+       traces)
 
 let sweep ?(shrink = true) ?(domains = 1) ?(instances = 1)
     ?(prefix_share = true) s ~seeds =

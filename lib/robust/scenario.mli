@@ -87,20 +87,21 @@ val seed_failures : ?shrink:bool -> t -> seed_result -> failure list
 val run_seeds :
   ?domains:int -> ?instances:int -> ?prefix_share:bool -> t ->
   seeds:int list -> seed_result list
-(** {!run_seed} over a seed list, results in seed order.  [?instances]
-    (default 1) routes the per-seed simulations through the batched
-    engine ({!Fleet.traces}): with [instances > 1] all seeds' stimuli
-    are expanded first and stepped in lockstep batches of that width.
-    [?domains] (default 1) fans out either path over a {!Parallel.map}
-    domain pool (per-seed for the looped path, instance-axis shards for
-    the batched one).  [?prefix_share] (default [true]) executes
-    through {!Prefix.traces}: the fault-free prefix shared by the
-    seeds' catalogs is simulated once and only suffixes replay.  The
+(** {!run_seed} over a seed list, results in seed order: every seed's
+    fault set and stimulus are expanded up front, all cases are
+    simulated in one sweep through the campaign executor
+    ({!Prefix.traces}) under the plan [?domains], [?instances] (both
+    default 1) and [?prefix_share] (default [true]), and the monitors
+    then judge the traces in seed order — also under
+    [~prefix_share:false].  [?domains] fans the sweep out over a
+    {!Parallel.map} domain pool, [?instances] steps it through the
+    batched engine, and [?prefix_share] simulates the fault-free prefix
+    shared by the seeds' catalogs once and replays only suffixes.  The
     scenario's [~schedule] function must then agree with
     [schedule []] strictly below each catalog's first activation
     (automatic for {!Fault.schedule_of_faults}-derived schedules; pass
-    [~prefix_share:false] otherwise).  Results are byte-identical for
-    every (domains, instances, prefix_share) combination. *)
+    [~prefix_share:false] otherwise).  Results are byte-identical under
+    every plan. *)
 
 val sweep :
   ?shrink:bool -> ?domains:int -> ?instances:int -> ?prefix_share:bool ->
@@ -108,10 +109,8 @@ val sweep :
 (** Run the scenario once per seed and collect verdicts; each failing
     (seed, monitor) pair is shrunk to a minimal fault subset and
     shortest failing prefix (disable with [~shrink:false] for cheap
-    smoke runs).  [?domains] (default 1) fans the per-seed simulations
-    out over an OCaml 5 domain pool via {!Parallel.map}; [?instances]
-    (default 1) batches them through the struct-of-arrays engine (see
-    {!run_seeds}).  Verdicts are merged back in seed order, so the
-    resulting campaign — and any report rendered from it — is identical
-    to a serial sweep.  Shrinking always runs serially after the
-    sweep. *)
+    smoke runs).  The seeds are swept by {!run_seeds} under the plan
+    [?domains], [?instances] and [?prefix_share].  Verdicts are merged
+    back in seed order, so the resulting campaign — and any report
+    rendered from it — is identical to a serial sweep.  Shrinking
+    always runs serially after the sweep. *)

@@ -141,11 +141,9 @@ let run_job c job =
       Some (h, m)
   in
   let before = stats () in
-  let job_domains =
-    if c.workers > 1 then max 1 (c.domains / c.workers) else c.domains
-  in
   match
-    Catalog.run ?cache:c.cache ~shrink:job.Job.shrink ~domains:job_domains
+    Catalog.run ?cache:c.cache ~shrink:job.Job.shrink
+      ~domains:(max 1 (c.domains / c.workers))
       ~instances:job.Job.instances ~prefix_share:job.Job.prefix_share
       ~horizon:job.Job.horizon ~iterations:job.Job.iterations
       ~bound:job.Job.bound ~kind:job.Job.kind ~engine:job.Job.engine

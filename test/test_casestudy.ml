@@ -285,9 +285,9 @@ let test_engine_ascet_compiled_sim () =
   in
   let t1 = Sim.run ~ticks:300 ~inputs fda.Model.model_root in
   let t2 =
-    Sim.run_compiled ~ticks:300 ~inputs (Sim.compile fda.Model.model_root)
+    Sim.run_indexed ~ticks:300 ~inputs (Sim.index fda.Model.model_root)
   in
-  checkb "compiled engine model identical" true
+  checkb "indexed engine model identical" true
     (Trace.equal_on ~flows:Engine_ascet.observed t1 t2)
 
 let test_engine_ascet_throttle_mtd () =

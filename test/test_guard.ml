@@ -375,17 +375,17 @@ let test_guarded_compiled_matches () =
   let interp =
     Sim.run ~schedule ~ticks ~inputs:Robustness.lock_stimulus Guarded.component
   in
-  let compiled =
-    Sim.run_compiled ~schedule ~ticks ~inputs:Robustness.lock_stimulus
-      (Sim.compile Guarded.component)
+  let indexed =
+    Sim.run_indexed ~schedule ~ticks ~inputs:Robustness.lock_stimulus
+      (Sim.index Guarded.component)
   in
   let outs =
     List.map
       (fun (prt : Model.port) -> prt.Model.port_name)
       (Model.output_ports Guarded.component)
   in
-  checkb "compiled engine agrees on every output" true
-    (Trace.equal_on ~flows:outs interp compiled)
+  checkb "indexed engine agrees on every output" true
+    (Trace.equal_on ~flows:outs interp indexed)
 
 let comparison_seeds = [ 1; 2; 3; 4; 5 ]
 

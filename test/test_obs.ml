@@ -103,15 +103,17 @@ let test_noop_identity_guarded () =
     (Obs.Metrics.value m "sim.ticks" = Some 64)
 
 let test_compiled_identity () =
-  let compiled = Sim.compile Guarded.component in
+  let indexed = Sim.index Guarded.component in
   let run () =
-    Sim.run_compiled ~ticks:64 ~inputs:Robustness.lock_stimulus compiled
+    Sim.run_indexed ~ticks:64 ~inputs:Robustness.lock_stimulus indexed
   in
   let plain = run () in
   let m = Obs.Metrics.create () in
   let observed = Obs.Probe.with_sink (Obs.Probe.standard m) run in
-  checkb "compiled trace unchanged under sink" true
-    (Trace.equal plain observed)
+  checkb "indexed trace unchanged under sink" true
+    (Trace.equal plain observed);
+  checkb "ticks counted" true
+    (Obs.Metrics.value m "sim.ticks" = Some 64)
 
 let test_probe_noop_without_sink () =
   checkb "inactive by default" false (Obs.Probe.active ());

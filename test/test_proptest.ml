@@ -241,8 +241,7 @@ let test_engines_identical () =
       (Builder.run (Builder.with_engine engine Propcase.unguarded) ~seeds)
   in
   let indexed = text Builder.Indexed in
-  checks "interpreted == indexed" indexed (text Builder.Interpreted);
-  checks "compiled == indexed" indexed (text Builder.Compiled)
+  checks "interpreted == indexed" indexed (text Builder.Interpreted)
 
 let test_campaign_deterministic () =
   let go ?domains () =

@@ -883,6 +883,58 @@ let test_prefix_traces_and_counters () =
        ~base_schedule:Clock.no_events cases);
   checki "no sink, counters unchanged" 9 (v "campaign.prefix.forks")
 
+(* The executor under every plan: a catalog mixing tick-0 and late
+   forks (fork ticks 0, 12, 20, 27), 10 cases — not a multiple of the
+   batch width 3.  Every trace equals its case's run_indexed; the serial
+   prefix and snapshot counters are pinned: the looped trunk snapshots
+   the three late fork ticks, the batched one tick 0 as well, and its
+   tick-0 group restores from it. *)
+let test_prefix_executor_plans () =
+  let ix = Sim.index Door_lock.component in
+  let ticks = 40 and base = Door_lock.crash_scenario in
+  let cases =
+    Array.init 10 (fun i ->
+        let from_tick = List.nth [ 0; 12; 20; 27 ] (i mod 4) in
+        let faults =
+          [ Fault.dropout ~flow:"FZG_V"
+              (Fault.Window { from_tick; until_tick = from_tick + 5 + i }) ]
+        in
+        (faults, Fault.apply faults base, Clock.no_events))
+  in
+  let keys =
+    List.map (( ^ ) "campaign.prefix.")
+      [ "groups"; "forks"; "shared_ticks"; "replayed_ticks" ]
+    @ [ "sim.snapshot.capture"; "sim.snapshot.restore" ]
+  in
+  let pinned = function
+    | true, 1 -> List.map Option.some [ 3; 7; 130; 297; 3; 7 ]
+    | true, _ -> List.map Option.some [ 4; 7; 130; 297; 4; 10 ]
+    | false, _ -> List.map (fun _ -> None) keys
+  in
+  List.iter
+    (fun (share, instances, domains) ->
+      let plan = Printf.sprintf "share %b x%d j%d" share instances domains in
+      let m = Automode_obs.Metrics.create () in
+      let traces =
+        Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m)
+          (fun () ->
+            Prefix.traces ~domains ~instances ~share ~ix ~ticks
+              ~base_inputs:base ~base_schedule:Clock.no_events cases)
+      in
+      Array.iteri
+        (fun i (_, inputs, _) ->
+          checkb (Printf.sprintf "%s: case %d equals run_indexed" plan i) true
+            (Trace.equal traces.(i) (Sim.run_indexed ~ticks ~inputs ix)))
+        cases;
+      if domains = 1 then
+        Alcotest.(check (list (option int)))
+          (plan ^ ": counters") (pinned (share, instances))
+          (List.map (Automode_obs.Metrics.value m) keys))
+    (List.concat_map
+       (fun (share, instances) ->
+         [ (share, instances, 1); (share, instances, 2) ])
+       [ (true, 1); (true, 3); (false, 1); (false, 3) ])
+
 let () =
   Alcotest.run "automode-robust"
     [ ( "fault",
@@ -977,4 +1029,6 @@ let () =
           Alcotest.test_case "degenerate tick-0 catalog" `Quick
             test_prefix_degenerate_tick0;
           Alcotest.test_case "traces and counters" `Quick
-            test_prefix_traces_and_counters ] ) ]
+            test_prefix_traces_and_counters;
+          Alcotest.test_case "executor plans" `Quick
+            test_prefix_executor_plans ] ) ]

@@ -748,37 +748,47 @@ let test_stdblocks_debounce () =
 (* Compiled simulation                                                *)
 (* ------------------------------------------------------------------ *)
 
-let assert_compiled_matches name comp ~ticks ~inputs ~flows =
-  let t1 = Sim.run ~ticks ~inputs comp in
-  let t2 = Sim.run_compiled ~ticks ~inputs (Sim.compile comp) in
-  checkb (name ^ ": compiled trace equals interpreted") true
-    (Trace.equal_on ~flows t1 t2)
+(* The engines that compile a model once — indexed and batched (one
+   instance) — against the interpreted oracle. *)
+let compiled_traces ?schedule comp ~ticks ~inputs =
+  let ix = Sim.index comp in
+  let b = Sim.batch ~instances:1 ix in
+  Sim.run_batch ?schedules:(Option.map (fun s _ -> s) schedule) ~ticks
+    ~inputs:(fun _ -> inputs) b;
+  [ ("indexed", Sim.run_indexed ?schedule ~ticks ~inputs ix);
+    ("batched", Sim.batch_trace b ~instance:0) ]
+
+(* Full-trace identity (same flows, same messages everywhere). *)
+let assert_compiled_matches ?schedule name comp ~ticks ~inputs =
+  let t1 = Sim.run ?schedule ~ticks ~inputs comp in
+  List.iter
+    (fun (engine, t2) ->
+      checkb
+        (Printf.sprintf "%s: %s trace equals interpreted" name engine)
+        true (Trace.equal t1 t2))
+    (compiled_traces ?schedule comp ~ticks ~inputs)
 
 let test_compiled_adder () =
   assert_compiled_matches "adder" adder ~ticks:16
     ~inputs:(fun t -> [ ("a", present_i t); ("b", present_i (2 * t)) ])
-    ~flows:[ "sum" ]
 
 let test_compiled_counter_feedback () =
   assert_compiled_matches "counter" counter ~ticks:16
     ~inputs:(fun _ -> [ ("step", present_i 1) ])
-    ~flows:[ "count" ]
 
 let test_compiled_ssd_delays () =
   assert_compiled_matches "ssd pipeline" ssd_pipeline ~ticks:12
     ~inputs:(fun t -> [ ("src", present_i t) ])
-    ~flows:[ "dst" ]
 
 let test_compiled_mtd () =
   assert_compiled_matches "throttle mtd" throttle_comp ~ticks:12
     ~inputs:(fun t ->
       [ ("cranking", present_b (t >= 4)); ("desired", present_f 10.);
         ("current", present_f 2.) ])
-    ~flows:[ "rate" ]
 
 let test_compiled_faulted_inputs () =
   (* trace identity must survive a faulted stimulus: history-dependent
-     fault transforms (memoized per tick) are queried by two different
+     fault transforms (memoized per tick) are queried by different
      engines and still have to produce the same trace *)
   let open Automode_robust in
   let comp = Automode_casestudy.Door_lock.component in
@@ -801,77 +811,58 @@ let test_compiled_faulted_inputs () =
   let inputs =
     Fault.apply faults Automode_casestudy.Door_lock.crash_scenario
   in
-  let t1 = Sim.run ~schedule ~ticks ~inputs comp in
-  let t2 = Sim.run_compiled ~schedule ~ticks ~inputs (Sim.compile comp) in
-  checkb "faulted compiled trace equals interpreted" true (Trace.equal t1 t2);
-  let t2i = Sim.run_indexed ~schedule ~ticks ~inputs (Sim.index comp) in
-  checkb "faulted indexed trace equals interpreted" true (Trace.equal t1 t2i);
+  assert_compiled_matches ~schedule "faulted door lock" comp ~ticks ~inputs;
   (* and a fresh fault application replays the identical trace *)
   let inputs' =
     Fault.apply faults Automode_casestudy.Door_lock.crash_scenario
   in
-  let t3 = Sim.run ~schedule ~ticks ~inputs:inputs' comp in
-  checkb "fault replay is identical" true (Trace.equal t1 t3)
+  checkb "fault replay is identical" true
+    (Trace.equal
+       (Sim.run ~schedule ~ticks ~inputs comp)
+       (Sim.run ~schedule ~ticks ~inputs:inputs' comp))
 
 let test_compiled_rejects_loops () =
-  let comp = Dfd.of_network (loop_net ~delayed:false) in
-  checkb "compile raises on instantaneous loop" true
-    (try ignore (Sim.compile comp); false with Sim.Sim_error _ -> true)
+  (* a loop one level down the hierarchy is rejected as well *)
+  let outer =
+    Ssd.of_network
+      { net_name = "Outer";
+        net_components = [ Dfd.of_network (loop_net ~delayed:false) ];
+        net_channels = [] }
+  in
+  checkb "index raises on a nested instantaneous loop" true
+    (try ignore (Sim.index outer); false with Sim.Sim_error _ -> true)
 
 let test_compiled_late_inputs () =
-  (* regression: inputs first offered at tick >= 4 used to vanish from
-     the compiled trace's flow set, because the flows were sampled from
-     the first four stimulus ticks; they now come from the declared
-     ports recorded at compile time *)
+  (* regression: inputs first offered at tick >= 4 once vanished from a
+     compiled engine's flow set, because the flows were sampled from the
+     first four stimulus ticks; they come from the declared ports *)
   let inputs tick =
     if tick < 6 then []
     else [ ("a", present_i 1); ("b", present_i (tick - 6)) ]
   in
-  let t1 = Sim.run ~ticks:12 ~inputs adder in
-  let t2 = Sim.run_compiled ~ticks:12 ~inputs (Sim.compile adder) in
-  checkb "late input flows recorded" true
-    (List.mem "a" (Trace.flows t2) && List.mem "b" (Trace.flows t2));
-  checkb "late input trace equals interpreted" true (Trace.equal t1 t2)
+  List.iter
+    (fun (engine, t2) ->
+      checkb (engine ^ ": late input flows recorded") true
+        (List.mem "a" (Trace.flows t2) && List.mem "b" (Trace.flows t2)))
+    (compiled_traces adder ~ticks:12 ~inputs);
+  assert_compiled_matches "late inputs" adder ~ticks:12 ~inputs
 
 (* ------------------------------------------------------------------ *)
 (* Indexed simulation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Full-trace identity across all three engines: interpreted =
-   closure-compiled = indexed (same flows, same messages everywhere). *)
-let assert_engines_match ?schedule name comp ~ticks ~inputs =
-  let t1 = Sim.run ?schedule ~ticks ~inputs comp in
-  let t2 = Sim.run_compiled ?schedule ~ticks ~inputs (Sim.compile comp) in
-  let t3 = Sim.run_indexed ?schedule ~ticks ~inputs (Sim.index comp) in
-  checkb (name ^ ": compiled trace equals interpreted") true
-    (Trace.equal t1 t2);
-  checkb (name ^ ": indexed trace equals interpreted") true
-    (Trace.equal t1 t3)
-
-let test_indexed_fixtures () =
-  assert_engines_match "adder" adder ~ticks:16
-    ~inputs:(fun t -> [ ("a", present_i t); ("b", present_i (2 * t)) ]);
-  assert_engines_match "counter" counter ~ticks:16
-    ~inputs:(fun _ -> [ ("step", present_i 1) ]);
-  assert_engines_match "ssd pipeline" ssd_pipeline ~ticks:12
-    ~inputs:(fun t -> [ ("src", present_i t) ]);
-  assert_engines_match "throttle mtd" throttle_comp ~ticks:12
-    ~inputs:(fun t ->
-      [ ("cranking", present_b (t >= 4)); ("desired", present_f 10.);
-        ("current", present_f 2.) ])
-
 let test_indexed_random_dfds () =
   List.iter
     (fun (seed, n) ->
       let comp = Automode_workloads.Workloads.random_dfd_component ~seed ~n in
-      assert_engines_match
+      assert_compiled_matches
         (Printf.sprintf "random dfd seed=%d n=%d" seed n)
         comp ~ticks:24
         ~inputs:(fun t -> [ ("src", present_f (float_of_int t)) ]))
     [ (7, 10); (42, 50); (3, 80) ]
 
 let test_indexed_door_lock () =
-  assert_engines_match "door lock (E1)"
+  assert_compiled_matches "door lock (E1)"
     Automode_casestudy.Door_lock.component ~ticks:64
     ~inputs:Automode_casestudy.Door_lock.crash_scenario
 
@@ -882,16 +873,16 @@ let test_indexed_engine_fda () =
       (fun (n, v) -> (n, Value.Present v))
       (Automode_casestudy.Engine_ascet.drive_inputs tick)
   in
-  assert_engines_match "engine fda (E8)" fda.Model.model_root ~ticks:96 ~inputs
+  assert_compiled_matches "engine fda (E8)" fda.Model.model_root ~ticks:96 ~inputs
 
 let test_indexed_guarded () =
-  assert_engines_match "guarded door lock (E14)"
+  assert_compiled_matches "guarded door lock (E14)"
     Automode_casestudy.Guarded.component ~ticks:64
     ~inputs:Automode_casestudy.Robustness.lock_stimulus
 
 (* An SSD network whose sub-component is an MTD with a "mode" output
    port: exercises delayed sibling channels feeding/reading a
-   mode-switching component in all three engines. *)
+   mode-switching component in every engine. *)
 let mtd_under_ssd =
   let mode_ty = Mtd.mode_enum throttle_mtd in
   let mtd_comp =
@@ -931,7 +922,7 @@ let mtd_under_ssd =
     net
 
 let test_indexed_mtd_under_ssd () =
-  assert_engines_match "mtd under ssd" mtd_under_ssd ~ticks:16
+  assert_compiled_matches "mtd under ssd" mtd_under_ssd ~ticks:16
     ~inputs:(fun t ->
       [ ("cranking", present_b (4 <= t && t < 9));
         ("desired", present_f 10.);
@@ -1581,8 +1572,7 @@ let () =
           Alcotest.test_case "late inputs" `Quick test_compiled_late_inputs;
           Alcotest.test_case "rejects loops" `Quick test_compiled_rejects_loops ] );
       ( "indexed-sim",
-        [ Alcotest.test_case "fixtures" `Quick test_indexed_fixtures;
-          Alcotest.test_case "random dfds" `Quick test_indexed_random_dfds;
+        [ Alcotest.test_case "random dfds" `Quick test_indexed_random_dfds;
           Alcotest.test_case "door lock (E1)" `Quick test_indexed_door_lock;
           Alcotest.test_case "engine fda (E8)" `Quick test_indexed_engine_fda;
           Alcotest.test_case "guarded (E14)" `Quick test_indexed_guarded;

@@ -33,7 +33,11 @@ let test_folding_preserves_errors () =
   let e = Expr.(int 1 / int 0) in
   simp_equal "div by zero kept" e e;
   let bad = Expr.(bool true + int 1) in
-  simp_equal "type error kept" bad bad
+  simp_equal "type error kept" bad bad;
+  (* a NaN constant would be unequal to itself: the division stays *)
+  let nan = Expr.(float 0. / int 0) in
+  simp_equal "nan kept" nan nan;
+  checkb "idempotent on nan" true (Simplify.expr nan = nan)
 
 let test_neutral_elements () =
   simp_equal "x + 0" Expr.(var "x" + int 0) (Expr.var "x");
@@ -43,6 +47,22 @@ let test_neutral_elements () =
   simp_equal "x / 1" Expr.(var "x" / int 1) (Expr.var "x");
   simp_equal "b && true" Expr.(var "b" && bool true) (Expr.var "b");
   simp_equal "false || b" Expr.(bool false || var "b") (Expr.var "b")
+
+let test_float_neutral_keeps_promotion () =
+  (* QCheck counterexample: dropping the Float [1.0] next to an Int
+     operand turned the promoted [Float 3.] back into [Int 3] *)
+  let e =
+    Expr.current (Value.Int 0)
+      Expr.(
+        when_ (Unop (Neg, int (-3))) (Clock.every 2 Clock.Base) * float 1.)
+  in
+  let expected = Value.Present (Value.Float 3.) in
+  checkb "original steps to Float 3." true
+    (Value.equal_message (eval e) expected);
+  checkb "simplified steps to Float 3." true
+    (Value.equal_message (eval (Simplify.expr e)) expected);
+  let x_plus = Expr.(var "x" + float 0.) in
+  simp_equal "x + 0.0 kept" x_plus x_plus
 
 let test_unsafe_rules_not_applied () =
   (* x * 0 -> 0 would change presence: the product is absent when x is *)
@@ -246,6 +266,8 @@ let () =
         [ Alcotest.test_case "constant folding" `Quick test_constant_folding;
           Alcotest.test_case "errors preserved" `Quick test_folding_preserves_errors;
           Alcotest.test_case "neutral elements" `Quick test_neutral_elements;
+          Alcotest.test_case "float neutral keeps promotion" `Quick
+            test_float_neutral_keeps_promotion;
           Alcotest.test_case "unsafe rules absent" `Quick test_unsafe_rules_not_applied;
           Alcotest.test_case "if collapse" `Quick test_if_collapse;
           Alcotest.test_case "negation" `Quick test_negation_rules;
