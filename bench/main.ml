@@ -572,10 +572,13 @@ let e21_batch ~domains () =
      atom >= tick 168 of a 200-tick horizon): prefix-shared enumeration
      must be >= 3x the straight per-scenario loop;
    - a 1000-seed robustness sweep whose dropout windows open at
-     >= 0.93 * horizon: prefix-shared must be >= 2x the loop.
+     >= 0.93 * horizon: prefix-shared must be >= 2x the loop, and the
+     prefix-shared sweep at --instances 64 may take at most 1.5x the
+     serial prefix-shared one (the batched executor resumes sorted,
+     full-width chunks of cases from the trunk).
 
-   Both ratios compare two measurements from the same process, so they
-   are stable on noisy runners, and report byte-identity (serial,
+   All three ratios compare two measurements from the same process, so
+   they are stable on noisy runners, and report byte-identity (serial,
    --domains, --instances and their cross product) is asserted whenever
    the section runs.  The prefix counters of the shared sweep are
    printed as the shared/replayed-ticks table of EXPERIMENTS E22. *)
@@ -659,6 +662,9 @@ let e22_prefix ~domains () =
   in
   let t_sw_loop = min_time ~reps (fun () -> sweep ~prefix_share:false ()) in
   let t_sw_shared = min_time ~reps (fun () -> sweep ~prefix_share:true ()) in
+  let t_sw_batched =
+    min_time ~reps (fun () -> sweep ~prefix_share:true ~instances:64 ())
+  in
   let sw_ref = R.Report.to_text (sweep ~prefix_share:false ()) in
   let sw_identical =
     List.for_all
@@ -669,12 +675,14 @@ let e22_prefix ~domains () =
         (fun () -> sweep ~prefix_share:true ~domains ~instances:64 ()) ]
   in
   let ratio_sw = t_sw_loop /. t_sw_shared in
+  let ratio_batched = t_sw_batched /. t_sw_shared in
   Printf.printf
     "robustness sweep, %d seeds x %d ticks, dropout windows from t>=186: \
-     looped %.1f ms, prefix-shared %.1f ms (%.1fx); reports \
+     looped %.1f ms, prefix-shared %.1f ms (%.1fx), prefix-shared at \
+     --instances 64 %.1f ms (%.2fx the serial shared); reports \
      byte-identical (serial/domains/instances/both): %b\n"
     (List.length seeds) sweep_ticks (t_sw_loop *. 1e3) (t_sw_shared *. 1e3)
-    ratio_sw sw_identical;
+    ratio_sw (t_sw_batched *. 1e3) ratio_batched sw_identical;
   (* shared/replayed tick accounting of the shared sweep (the
      EXPERIMENTS E22 table); counters are inert without this sink *)
   let m = Automode_obs.Metrics.create () in
@@ -700,10 +708,19 @@ let e22_prefix ~domains () =
       ratio_sw;
     exit 1
   end;
+  if ratio_batched <= 1.5 then
+    print_endline "batched prefix-shared sweep <= 1.5x serial: OK"
+  else begin
+    Printf.printf
+      "batched prefix-shared sweep <= 1.5x serial: FAILED (%.2fx)\n"
+      ratio_batched;
+    exit 1
+  end;
   [ ("litmus/E22-litmus-looped-k2", t_lit_loop *. 1e9);
     ("litmus/E22-litmus-shared-k2", t_lit_shared *. 1e9);
     ("robust/E22-sweep-looped-1000", t_sw_loop *. 1e9);
-    ("robust/E22-sweep-shared-1000", t_sw_shared *. 1e9) ]
+    ("robust/E22-sweep-shared-1000", t_sw_shared *. 1e9);
+    ("robust/E22-sweep-shared-1000-i64", t_sw_batched *. 1e9) ]
 
 (* ------------------------------------------------------------------ *)
 (* Benchmarks                                                         *)

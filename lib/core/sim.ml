@@ -2157,9 +2157,8 @@ let rec stage_net ~stride ~resets ~(boundary : string -> brow) (n : ix_net) :
 (* ---------------- Batch compile and drive ------------------------- *)
 
 type batch = {
-  bb_ix : indexed;
   bb_instances : int;
-  bb_in_names : string list; (* declared input ports, trace order *)
+  bb_flows : string list; (* trace flows: declared inputs, then outputs *)
   bb_nflows : int;
   bb_in_rows : int array; (* per declared input port, its row in bb_ins *)
   bb_in_tbl : (string, int) Hashtbl.t; (* + undeclared boundary reads *)
@@ -2172,6 +2171,12 @@ type batch = {
   mutable bb_count : int;
   mutable bb_ticks : int;
   mutable bb_trace : bplanes;
+  (* Per column: the persistent trace prefix held outside the planes
+     (restored from a snapshot, or consed by a capture) and the tick it
+     ends at.  The column's plane rows from that tick on belong to its
+     current run; rows before it are never read. *)
+  bb_prefix : Trace.t array;
+  bb_prefix_tick : int array;
 }
 
 (* Input names an atomic root behavior may read through its environment
@@ -2253,10 +2258,10 @@ let batch ~instances (ix : indexed) : batch =
   let rs = resets.rg_resets in
   let reset () = List.iter (fun f -> f ()) rs in
   reset ();
-  { bb_ix = ix;
-    bb_instances = instances;
-    bb_in_names = ix.ix_in_ports;
-    bb_nflows = List.length ix.ix_in_ports + List.length ix.ix_out_ports;
+  let flows = ix.ix_in_ports @ ix.ix_out_ports in
+  { bb_instances = instances;
+    bb_flows = flows;
+    bb_nflows = List.length flows;
     bb_in_rows =
       Array.of_list (List.map (fun p -> Hashtbl.find tbl p) ix.ix_in_ports);
     bb_in_tbl = tbl;
@@ -2268,7 +2273,9 @@ let batch ~instances (ix : indexed) : batch =
     bb_sites = resets.rg_sites;
     bb_count = 0;
     bb_ticks = 0;
-    bb_trace = bplanes_make ~stride 0 }
+    bb_trace = bplanes_make ~stride 0;
+    bb_prefix = Array.make instances (Trace.make ~flows);
+    bb_prefix_tick = Array.make instances 0 }
 
 let batch_instances b = b.bb_instances
 let batch_count b = b.bb_count
@@ -2288,13 +2295,28 @@ let run_batch ?schedules ?map ?(shards = 1) ?count ?(start = 0) ?stop
   let nflows = b.bb_nflows in
   if reset then begin
     b.bb_reset ();
-    b.bb_trace <- bplanes_make ~stride (nflows * ticks);
-    b.bb_ticks <- ticks
+    (* an unchanged horizon keeps the trace store: clearing the tags
+       leaves it indistinguishable from a fresh one *)
+    if b.bb_ticks = ticks then
+      Bigarray.Array1.fill b.bb_trace.bp_tag tag_absent
+    else b.bb_trace <- bplanes_make ~stride (nflows * ticks);
+    b.bb_ticks <- ticks;
+    Array.fill b.bb_prefix 0 stride (Trace.make ~flows:b.bb_flows);
+    Array.fill b.bb_prefix_tick 0 stride 0
   end
-  else if b.bb_ticks <> ticks then
-    sim_error
-      "run_batch: resumed span expects the previous horizon %d (got %d)"
-      b.bb_ticks ticks;
+  else begin
+    if b.bb_ticks <> ticks then
+      sim_error
+        "run_batch: resumed span expects the previous horizon %d (got %d)"
+        b.bb_ticks ticks;
+    for i = 0 to count - 1 do
+      if b.bb_prefix_tick.(i) > start then
+        sim_error
+          "run_batch: span from tick %d overlaps instance %d's trace \
+           prefix (recorded up to tick %d)"
+          start i b.bb_prefix_tick.(i)
+    done
+  end;
   let infns : input_fn array = Array.init count inputs in
   let scheds =
     match schedules with
@@ -2366,25 +2388,29 @@ let run_batch ?schedules ?map ?(shards = 1) ?count ?(start = 0) ?stop
   | None -> List.iter (fun f -> f ()) thunks
   | Some m -> m thunks
 
-let batch_trace (b : batch) ~instance =
-  if instance < 0 || instance >= b.bb_count then
-    sim_error "batch_trace: instance %d out of range (last run had %d)"
-      instance b.bb_count;
-  let flows = b.bb_in_names @ b.bb_ix.ix_out_ports in
+(* Column [instance]'s trace over [\[0, upto)]: its recorded prefix
+   with the plane rows from the prefix's end tick consed on. *)
+let batch_rows (b : batch) ~instance ~upto =
   let stride = b.bb_instances in
   let nflows = b.bb_nflows in
-  let trace = ref (Trace.make ~flows) in
-  for tick = 0 to b.bb_ticks - 1 do
+  let trace = ref b.bb_prefix.(instance) in
+  for tick = b.bb_prefix_tick.(instance) to upto - 1 do
     let base = tick * nflows in
     let row =
       List.mapi
         (fun f name ->
           (name, bp_message b.bb_trace (((base + f) * stride) + instance)))
-        flows
+        b.bb_flows
     in
     trace := Trace.record_ordered !trace row
   done;
   !trace
+
+let batch_trace (b : batch) ~instance =
+  if instance < 0 || instance >= b.bb_count then
+    sim_error "batch_trace: instance %d out of range (last run had %d)"
+      instance b.bb_count;
+  batch_rows b ~instance ~upto:b.bb_ticks
 
 (* ---------------- Batched snapshots ------------------------------- *)
 
@@ -2393,7 +2419,7 @@ type batch_snapshot = {
   bn_tick : int;
   bn_ticks : int; (* horizon of the span being snapshotted *)
   bn_writers : (int -> unit) list;
-  bn_trace : bplanes; (* captured trace prefix, stride 1 *)
+  bn_trace : Trace.t; (* persistent: rows [0, bn_tick) *)
 }
 
 let batch_snapshot (b : batch) ~instance ~tick =
@@ -2403,20 +2429,25 @@ let batch_snapshot (b : batch) ~instance ~tick =
   if tick < 0 || tick > b.bb_ticks then
     sim_error "batch_snapshot: tick %d out of range (horizon %d)" tick
       b.bb_ticks;
+  if tick < b.bb_prefix_tick.(instance) then
+    sim_error
+      "batch_snapshot: tick %d precedes instance %d's trace prefix \
+       (recorded up to tick %d)"
+      tick instance b.bb_prefix_tick.(instance);
   if Probe.active () then Probe.hit snapshot_capture;
-  let stride = b.bb_instances in
-  let rows = tick * b.bb_nflows in
-  let tr = bplanes_make ~stride:1 rows in
-  for r = 0 to rows - 1 do
-    elt_copy b.bb_trace ((r * stride) + instance) tr r
-  done;
+  let trace = batch_rows b ~instance ~upto:tick in
+  (* the column's rows before [tick] are final: keep them as its
+     prefix, so a later capture of the same column conses only the
+     rows after this one *)
+  b.bb_prefix.(instance) <- trace;
+  b.bb_prefix_tick.(instance) <- tick;
   { bn_batch = b;
     bn_tick = tick;
     bn_ticks = b.bb_ticks;
     (* each site copies its column's cells out now, so the snapshot
        stays valid when the source column is stepped on or reused *)
     bn_writers = List.map (fun site -> site instance) b.bb_sites;
-    bn_trace = tr }
+    bn_trace = trace }
 
 let batch_snapshot_tick s = s.bn_tick
 
@@ -2431,8 +2462,5 @@ let batch_restore (b : batch) (snap : batch_snapshot) ~instance =
       b.bb_ticks snap.bn_ticks;
   if Probe.active () then Probe.hit snapshot_restore;
   List.iter (fun w -> w instance) snap.bn_writers;
-  let stride = b.bb_instances in
-  let rows = snap.bn_tick * b.bb_nflows in
-  for r = 0 to rows - 1 do
-    elt_copy snap.bn_trace r b.bb_trace ((r * stride) + instance)
-  done
+  b.bb_prefix.(instance) <- snap.bn_trace;
+  b.bb_prefix_tick.(instance) <- snap.bn_tick

@@ -231,11 +231,16 @@ val run_batch :
 (** Step instances [0..count-1] (default: the full capacity) over the
     tick span [\[start, stop)] (defaults [0] and [ticks]) of a
     [ticks]-tick horizon.  With [reset] (the default) all state is
-    reset first and a fresh trace store for the full horizon is
-    allocated — a batch is reusable across runs; with [~reset:false]
-    the batch continues from its current state (after a previous span
-    or a {!batch_restore}) and keeps recording into the same trace
-    store, which requires the same [ticks] as the allocating run.
+    reset first and every column starts an empty trace — a batch is
+    reusable across runs.  The trace store ([instances × flows ×
+    ticks] cells) is reallocated only when the horizon differs from
+    the previous run's; at an unchanged horizon it is kept and merely
+    marked absent, which reads exactly as a fresh store.  With
+    [~reset:false] the batch continues from its current state (after
+    a previous span or a {!batch_restore}) and keeps recording into
+    the same trace store, which requires the same [ticks] as the
+    previous run; each stepped column must not have a trace prefix
+    (from {!batch_restore} or {!batch_snapshot}) ending after [start].
     [inputs i] / [schedules i] give instance [i]'s stimulus and clock
     schedule (default: no events).  The instance axis is split into
     [shards] contiguous ranges (default 1), one thunk each, executed by
@@ -244,38 +249,52 @@ val run_batch :
     Traces are recorded into planes and materialized lazily by
     {!batch_trace}.  Running [\[0, t)] then [\[t, ticks)] without reset
     is byte-identical to one [\[0, ticks)] run (same loop iterations).
-    @raise Sim_error when [count] exceeds the compiled capacity or the
-    span is out of range. *)
+    @raise Sim_error when [count] exceeds the compiled capacity, the
+    span is out of range, or a [~reset:false] span starts inside a
+    stepped column's trace prefix. *)
 
 val batch_trace : batch -> instance:int -> Trace.t
 (** The trace instance [instance] produced in the most recent
     {!run_batch} — byte-identical to the {!run_indexed} trace under the
-    same stimulus and schedule.  @raise Sim_error when [instance] is
-    outside the last run. *)
+    same stimulus and schedule.  A column restored from a snapshot
+    captured at tick [t] returns the snapshot's persistent trace
+    prefix with only rows [\[t, ticks)] built from the planes, in
+    O((ticks - t) × flows); the prefix is shared, not copied.
+    @raise Sim_error when [instance] is outside the last run. *)
 
 type batch_snapshot
 (** A checkpoint of one instance column of a batch: the capture tick,
     every snapshot site's cells for that column (copied out, so the
-    column may be stepped on or reused) and the column's trace rows
-    before the capture tick.  The batched counterpart of
-    {!Snapshot.t}, with the same determinism contract:
-    [batch_restore] into any column followed by a [~reset:false] span
-    [\[t, ticks)] replays exactly the loop iterations a straight run
-    would execute for that column. *)
+    column may be stepped on or reused) and the column's trace before
+    the capture tick as one persistent {!Trace.t}, shared by every
+    column it is restored into and by their {!batch_trace}s.  The
+    batched counterpart of {!Snapshot.t}, with the same determinism
+    contract: [batch_restore] into any column followed by a
+    [~reset:false] span [\[t, ticks)] replays exactly the loop
+    iterations a straight run would execute for that column. *)
 
 val batch_snapshot : batch -> instance:int -> tick:int -> batch_snapshot
-(** Capture instance [instance]'s state, asserting it has been stepped
-    exactly to [tick] (rows after [tick] are not captured).  O(sites)
-    per call; hits [sim.snapshot.capture].
-    @raise Sim_error when [instance] or [tick] is out of range. *)
+(** Capture instance [instance]'s state; the column must have been
+    stepped exactly to [tick].  The state costs O(sites).  The trace
+    prefix costs only the rows the column recorded since its own
+    prefix ended — rows [\[p, tick)], where [p] is the tick of its last
+    restore or capture (0 after a reset) — consed onto that prefix in
+    O((tick - p) × flows); no earlier row is copied.  The result
+    becomes the column's prefix, so capturing one column at ascending
+    ticks builds each trace row once.  Hits [sim.snapshot.capture].
+    @raise Sim_error when [instance] or [tick] is out of range, or
+    [tick] lies before [p]. *)
 
 val batch_snapshot_tick : batch_snapshot -> int
 (** The capture tick. *)
 
 val batch_restore : batch -> batch_snapshot -> instance:int -> unit
-(** Write the snapshot's state and trace prefix into column
-    [instance] (any column — forking one snapshot across the instance
-    axis is the point).  The snapshot must come from this batch and the
-    batch's horizon must be unchanged since capture.  Follow with
-    [run_batch ~reset:false ~start:(batch_snapshot_tick snap)].
+(** Write the snapshot's state into column [instance] (any column —
+    forking one snapshot across the instance axis is the point) and
+    make its trace prefix the column's, in O(sites): no trace cell is
+    copied, and the column's trace before the capture tick is the
+    snapshot's from then on.  The snapshot must come from this batch
+    and the batch's horizon must be unchanged since capture.  Follow
+    with [run_batch ~reset:false ~start:(batch_snapshot_tick snap)]; a
+    span starting earlier is rejected.  Hits [sim.snapshot.restore].
     @raise Sim_error on batch mismatch or horizon change. *)

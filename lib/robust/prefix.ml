@@ -9,7 +9,7 @@ open Automode_obs
    same base stimulus until its fault catalog first takes effect
    ({!Fault.first_effect_tick}).  Instead of re-simulating that shared
    prefix per case, the executor runs the fault-free trunk once,
-   snapshots it at every distinct fork tick ({!Sim.snapshot_run} /
+   snapshots it where cases resume ({!Sim.snapshot_run} /
    {!Sim.batch_snapshot}), and replays only the per-case suffixes.
    Byte-identity with the looped execution holds by construction:
 
@@ -17,9 +17,18 @@ open Automode_obs
      to the base ones (every fault kind passes the original message
      through while inactive, and {!Fault.schedule_of_faults} only adds
      events at active ticks), so the trunk's loop iterations are
-     exactly the iterations the case itself would have executed;
+     exactly the iterations the case itself would have executed — at
+     any resume tick up to the case's fork tick;
    - a snapshot resume replays exactly the remaining loop iterations of
      a straight run (see the {!Sim.Snapshot} contract).
+
+   Looped, each case resumes at its own fork tick.  Batched, the cases
+   are stably sorted by fork tick and cut into chunks of the batch
+   width; a chunk resumes at its smallest fork tick (the first lemma
+   lets its later-forking cases start there too), so the batch always
+   runs at full width and the trunk is snapshotted at most once per
+   chunk.  A restored column shares the snapshot's trace prefix
+   ({!Sim.batch_restore}).
 
    Callers whose [~schedule] is NOT derived from the fault list via
    {!Fault.schedule_of_faults} must guarantee the same property
@@ -40,23 +49,30 @@ let traces ?(domains = 1) ?(instances = 1) ?(share = true) ~ix ~ticks
         if share then Fault.first_effect_tick faults ~horizon:ticks else 0)
       cases
   in
-  let fork_ticks = List.sort_uniq Int.compare (Array.to_list forks) in
-  let max_fork = Array.fold_left max 0 forks in
   let width = min instances n in
-  (* trunk snapshots: one per fork tick once any case forks late — the
-     looped path runs its tick-0 cases from scratch instead *)
-  let at =
-    if max_fork = 0 then []
-    else List.filter (fun t -> t > 0 || width > 1) fork_ticks
-  in
+  (* the cases stably sorted by fork tick ([order.(k)] is the k-th),
+     cut into chunks of [width]: a case resumes at its chunk's smallest
+     fork tick — its own when looped; earlier is sound, since below its
+     own fork tick a case agrees with the trunk *)
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> Int.compare forks.(i) forks.(j)) order;
+  let resume = Array.make n 0 in
+  let chunk = max 1 width in
+  Array.iteri (fun k i -> resume.(i) <- forks.(order.(k - (k mod chunk)))) order;
+  (* trunk snapshots: one per distinct late resume tick; a case that
+     resumes at tick 0 runs from scratch *)
+  let late = List.filter (fun t -> t > 0) (Array.to_list resume) in
+  let at = List.sort_uniq Int.compare late in
   if share && Probe.active () then begin
-    let late = List.filter (fun f -> f > 0) (Array.to_list forks) in
     if at <> [] then Probe.count ~by:(List.length at) "campaign.prefix.groups";
     Probe.count ~by:(List.length late) "campaign.prefix.forks";
     Probe.count ~by:(List.fold_left ( + ) 0 late)
       "campaign.prefix.shared_ticks";
     Probe.count
-      ~by:(Array.fold_left (fun acc f -> acc + ticks - f) max_fork forks)
+      ~by:
+        (Array.fold_left
+           (fun acc t -> acc + ticks - t)
+           (List.fold_left max 0 at) resume)
       "campaign.prefix.replayed_ticks"
   end;
   if width <= 1 then begin
@@ -71,16 +87,16 @@ let traces ?(domains = 1) ?(instances = 1) ?(share = true) ~ix ~ticks
       (Parallel.map ~domains
          (fun i ->
            let _, inputs, schedule = cases.(i) in
-           match List.assoc_opt forks.(i) trunk with
+           match List.assoc_opt resume.(i) trunk with
            | Some snap -> Sim.resume_indexed ~schedule ~ticks ~inputs snap
            | None -> Sim.run_indexed ~schedule ~ticks ~inputs ix)
          (List.init n Fun.id))
   end
   else begin
     (* batched: the trunk advances column 0 span by span, capturing a
-       snapshot at each tick of [at]; each fork group then restores its
-       snapshot across the instance axis (or, without one, resets) and
-       replays [fork, ticks) chunk by chunk *)
+       snapshot at each tick of [at]; each chunk then restores its
+       snapshot across the instance axis (or, at tick 0, resets) and
+       replays [resume, ticks) at full width *)
     let b = Sim.batch ~instances:width ix in
     let start = ref 0 in
     let trunk =
@@ -95,39 +111,33 @@ let traces ?(domains = 1) ?(instances = 1) ?(share = true) ~ix ~ticks
         at
     in
     let out = Array.make n None in
-    List.iter
-      (fun t ->
-        let group =
-          Array.of_list
-            (List.filter (fun i -> forks.(i) = t) (List.init n Fun.id))
-        in
-        let snap = List.assoc_opt t trunk in
-        for chunk = 0 to (Array.length group - 1) / width do
-          let lo = chunk * width in
-          let count = min width (Array.length group - lo) in
-          let case j = cases.(group.(lo + j)) in
-          Option.iter
-            (fun s ->
-              for j = 0 to count - 1 do
-                Sim.batch_restore b s ~instance:j
-              done)
-            snap;
-          Sim.run_batch ~count ~start:t ~reset:(Option.is_none snap) ~ticks
-            ~inputs:(fun j ->
-              let _, inputs, _ = case j in
-              inputs)
-            ~schedules:(fun j ->
-              let _, _, schedule = case j in
-              schedule)
-            ~shards:domains
-            ~map:(fun thunks ->
-              ignore (Parallel.map ~domains (fun f -> f ()) thunks))
-            b;
-          (* materialize before the next chunk reuses the columns *)
+    for c = 0 to (n - 1) / width do
+      let lo = c * width in
+      let count = min width (n - lo) in
+      let case j = cases.(order.(lo + j)) in
+      let t = resume.(order.(lo)) in
+      let snap = List.assoc_opt t trunk in
+      Option.iter
+        (fun s ->
           for j = 0 to count - 1 do
-            out.(group.(lo + j)) <- Some (Sim.batch_trace b ~instance:j)
-          done
-        done)
-      fork_ticks;
+            Sim.batch_restore b s ~instance:j
+          done)
+        snap;
+      Sim.run_batch ~count ~start:t ~reset:(Option.is_none snap) ~ticks
+        ~inputs:(fun j ->
+          let _, inputs, _ = case j in
+          inputs)
+        ~schedules:(fun j ->
+          let _, _, schedule = case j in
+          schedule)
+        ~shards:domains
+        ~map:(fun thunks ->
+          ignore (Parallel.map ~domains (fun f -> f ()) thunks))
+        b;
+      (* materialize before the next chunk reuses the columns *)
+      for j = 0 to count - 1 do
+        out.(order.(lo + j)) <- Some (Sim.batch_trace b ~instance:j)
+      done
+    done;
     Array.map Option.get out
   end

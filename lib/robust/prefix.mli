@@ -7,22 +7,23 @@
     original stimulus through while inactive, and schedules derived via
     {!Fault.schedule_of_faults} only add events at active ticks.  The
     executor therefore simulates the fault-free {e trunk} once,
-    snapshots it at every distinct first-effect tick
-    ({!Fault.first_effect_tick}), and replays only the per-case
+    snapshots it where cases resume (at or before their first-effect
+    tick, {!Fault.first_effect_tick}), and replays only the per-case
     suffixes — byte-identical to looping [run_indexed] by construction
     (asserted by the test-suite for all five campaign kinds, pinned by
     bench section E22).
 
     Probe counters (no-ops without a sink, as all probes), counted only
-    with sharing on:
-    - [campaign.prefix.groups] — trunk snapshots taken (counted only
-      when some case forks after tick 0);
-    - [campaign.prefix.forks] — cases resumed from a snapshot after
-      tick 0;
-    - [campaign.prefix.shared_ticks] — prefix ticks {e not}
-      re-simulated, summed over resumed cases;
-    - [campaign.prefix.replayed_ticks] — ticks actually simulated
-      (trunk + all suffixes + full runs of tick-0 cases). *)
+    with sharing on, measure the work the plan actually does.  A case's
+    {e resume tick} is its fork tick on the looped plan and its chunk's
+    smallest fork tick on the batched one:
+    - [campaign.prefix.groups] — trunk snapshots taken, one per distinct
+      resume tick after 0 (not counted when there is none);
+    - [campaign.prefix.forks] — cases resumed from a snapshot;
+    - [campaign.prefix.shared_ticks] — the sum of those cases' resume
+      ticks: prefix ticks {e not} re-simulated;
+    - [campaign.prefix.replayed_ticks] — ticks actually simulated: the
+      trunk up to its last snapshot plus [ticks - resume] per case. *)
 
 val traces :
   ?domains:int ->
@@ -46,17 +47,16 @@ val traces :
     base.  Callers with hand-written schedules that consult the fault
     list before its first activation must pass [~share:false].
 
-    Cases are grouped by fork tick: their first fault effect with
-    [~share:true] (the default), tick 0 for every case with
-    [~share:false].  A group with a trunk snapshot resumes from it; a
-    tick-0 group without one runs from scratch.  With
+    Each case forks at its first fault effect with [~share:true] (the
+    default), at tick 0 for every case with [~share:false].  With
     [min instances (length cases) <= 1] (default [instances] 1) the
     cases run one by one, in case order, fanned out over a [domains]
     (default 1) {!Parallel.map} pool: [run_indexed], or
-    [resume_indexed] for a case that forks after tick 0.  Otherwise
-    each group is stepped in chunks through one {!Sim.batch} of that
-    width, its instance axis sharded over [domains]: restored from the
-    group's snapshot ([batch_restore] plus a [~reset:false] span), or
-    reset and run from tick 0 when there is none; once any case forks
-    late, the batched trunk snapshots tick 0 as well.  The result is
-    byte-identical under every plan. *)
+    [resume_indexed] from the trunk snapshot at the case's fork tick
+    when that is after 0.  Otherwise the cases, stably sorted by fork
+    tick, are cut into chunks of that width and stepped through one
+    {!Sim.batch}, its instance axis sharded over [domains]; a chunk
+    resumes at its smallest fork tick — restored from the trunk
+    snapshot there ([batch_restore] plus a [~reset:false] span), or
+    reset and run from tick 0 — so the trunk is snapshotted at most
+    once per chunk.  The result is byte-identical under every plan. *)

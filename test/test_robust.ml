@@ -886,9 +886,20 @@ let test_prefix_traces_and_counters () =
 (* The executor under every plan: a catalog mixing tick-0 and late
    forks (fork ticks 0, 12, 20, 27), 10 cases — not a multiple of the
    batch width 3.  Every trace equals its case's run_indexed; the serial
-   prefix and snapshot counters are pinned: the looped trunk snapshots
-   the three late fork ticks, the batched one tick 0 as well, and its
-   tick-0 group restores from it. *)
+   prefix and snapshot counters are pinned by hand.
+
+   Looped, each case resumes at its own fork tick: forks 0,12,20,27
+   repeat over cases 0..9, so three cases fork at 0 and 12 and two at
+   20 and 27.  The trunk snapshots 12, 20, 27 (groups 3, capture 3);
+   7 cases resume (forks 7, restore 7); shared = 3*12 + 2*20 + 2*27 =
+   130; replayed = 27 (trunk) + 3*40 + 3*28 + 2*20 + 2*13 = 297.
+
+   Batched, the stably sorted forks 0,0,0 | 12,12,12 | 20,20,27 | 27
+   are cut into chunks of 3 that resume at their smallest fork: 0
+   (reset, no snapshot), 12, 20 and 27.  The trunk snapshots 12, 20,
+   27 (groups 3, capture 3); 3 + 3 + 1 = 7 cases resume (forks 7,
+   restore 7); shared = 3*12 + 3*20 + 27 = 123; replayed = 27 (trunk)
+   + 3*40 + 3*28 + 3*20 + 13 = 304. *)
 let test_prefix_executor_plans () =
   let ix = Sim.index Door_lock.component in
   let ticks = 40 and base = Door_lock.crash_scenario in
@@ -908,7 +919,7 @@ let test_prefix_executor_plans () =
   in
   let pinned = function
     | true, 1 -> List.map Option.some [ 3; 7; 130; 297; 3; 7 ]
-    | true, _ -> List.map Option.some [ 4; 7; 130; 297; 4; 10 ]
+    | true, _ -> List.map Option.some [ 3; 7; 123; 304; 3; 7 ]
     | false, _ -> List.map (fun _ -> None) keys
   in
   List.iter
@@ -934,6 +945,47 @@ let test_prefix_executor_plans () =
        (fun (share, instances) ->
          [ (share, instances, 1); (share, instances, 2) ])
        [ (true, 1); (true, 3); (false, 1); (false, 3) ])
+
+(* The batched plan runs at the width asked for: 40 cases with 40
+   distinct late fork ticks (case i drops FZG_V from tick 100 + i) are
+   sorted into chunks of 16 that resume at ticks 100, 116 and 132, so
+   the trunk is captured ceil(40 / 16) = 3 times, not once per fork
+   tick.  Every trace still equals its case's run_indexed. *)
+let test_prefix_full_width () =
+  let ix = Sim.index Door_lock.component in
+  let ticks = 160 and base = Door_lock.crash_scenario in
+  let cases =
+    Array.init 40 (fun i ->
+        let faults =
+          [ Fault.dropout ~flow:"FZG_V"
+              (Fault.Window { from_tick = 100 + i; until_tick = ticks }) ]
+        in
+        (faults, Fault.apply faults base, Clock.no_events))
+  in
+  List.iter
+    (fun domains ->
+      let m = Automode_obs.Metrics.create () in
+      let traces =
+        Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m)
+          (fun () ->
+            Prefix.traces ~domains ~instances:16 ~ix ~ticks ~base_inputs:base
+              ~base_schedule:Clock.no_events cases)
+      in
+      Array.iteri
+        (fun i (_, inputs, _) ->
+          checkb
+            (Printf.sprintf "j%d: case %d equals run_indexed" domains i)
+            true
+            (Trace.equal traces.(i) (Sim.run_indexed ~ticks ~inputs ix)))
+        cases;
+      let v k = Automode_obs.Metrics.value m k in
+      Alcotest.(check (option int))
+        (Printf.sprintf "j%d: one trunk capture per chunk" domains)
+        (Some 3) (v "sim.snapshot.capture");
+      Alcotest.(check (option int))
+        (Printf.sprintf "j%d: every case restored" domains)
+        (Some 40) (v "sim.snapshot.restore"))
+    [ 1; 2 ]
 
 let () =
   Alcotest.run "automode-robust"
@@ -1031,4 +1083,6 @@ let () =
           Alcotest.test_case "traces and counters" `Quick
             test_prefix_traces_and_counters;
           Alcotest.test_case "executor plans" `Quick
-            test_prefix_executor_plans ] ) ]
+            test_prefix_executor_plans;
+          Alcotest.test_case "full-width chunks" `Quick
+            test_prefix_full_width ] ) ]

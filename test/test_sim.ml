@@ -1213,6 +1213,103 @@ let test_batch_snapshot_fork () =
          (Trace.to_csv (Sim.run_indexed ~ticks ~inputs:(composite j) ix)))
   done
 
+(* A column that was itself restored and stepped on snapshots its
+   whole trace: the prefix it was restored with plus the rows stepped
+   since.  Column 0 runs [0, 5) and is captured; column 1 restores it,
+   both run [5, 12) and column 1 is captured; columns 2 and 3 restore
+   that, and all four run [12, 20).  Every column equals the straight
+   run of its composite stimulus. *)
+let test_batch_snapshot_of_restored () =
+  let ix = Sim.index counter in
+  let b = Sim.batch ~instances:4 ix in
+  let ticks = 20 in
+  let composite j t =
+    let v =
+      if t < 5 then 1
+      else if t < 12 then if j = 0 then 2 else 3
+      else (10 * (j + 1)) + t
+    in
+    [ ("step", present_i v) ]
+  in
+  Sim.run_batch ~count:1 ~stop:5 ~ticks ~inputs:composite b;
+  let first = Sim.batch_snapshot b ~instance:0 ~tick:5 in
+  Sim.batch_restore b first ~instance:1;
+  Sim.run_batch ~count:2 ~start:5 ~stop:12 ~reset:false ~ticks
+    ~inputs:composite b;
+  let second = Sim.batch_snapshot b ~instance:1 ~tick:12 in
+  Sim.batch_restore b second ~instance:2;
+  Sim.batch_restore b second ~instance:3;
+  Sim.run_batch ~start:12 ~reset:false ~ticks ~inputs:composite b;
+  for j = 0 to 3 do
+    checkb
+      (Printf.sprintf "column %d equals straight indexed run" j)
+      true
+      (String.equal
+         (Trace.to_csv (Sim.batch_trace b ~instance:j))
+         (Trace.to_csv (Sim.run_indexed ~ticks ~inputs:(composite j) ix)))
+  done
+
+(* A reset drops every restored prefix: after a fork, a reset run over
+   the same horizon (which keeps the trace store) returns complete
+   fresh traces, and a reset span starting late reads exactly as on a
+   fresh batch (absent rows before it). *)
+let test_batch_reset_after_restore () =
+  let ix = Sim.index counter in
+  let b = Sim.batch ~instances:3 ix in
+  let ticks = 16 and fork = 9 in
+  let trunk _ _ = [ ("step", present_i 7) ] in
+  Sim.run_batch ~count:1 ~stop:fork ~ticks ~inputs:trunk b;
+  let snap = Sim.batch_snapshot b ~instance:0 ~tick:fork in
+  for j = 0 to 2 do
+    Sim.batch_restore b snap ~instance:j
+  done;
+  Sim.run_batch ~start:fork ~reset:false ~ticks ~inputs:trunk b;
+  let fresh j t = [ ("step", present_i (j - t)) ] in
+  Sim.run_batch ~ticks ~inputs:fresh b;
+  for j = 0 to 2 do
+    checkb
+      (Printf.sprintf "reset column %d equals fresh indexed run" j)
+      true
+      (String.equal
+         (Trace.to_csv (Sim.batch_trace b ~instance:j))
+         (Trace.to_csv (Sim.run_indexed ~ticks ~inputs:(fresh j) ix)))
+  done;
+  let late = Sim.batch ~instances:3 ix in
+  Sim.run_batch ~start:5 ~ticks ~inputs:fresh b;
+  Sim.run_batch ~start:5 ~ticks ~inputs:fresh late;
+  for j = 0 to 2 do
+    checkb
+      (Printf.sprintf "late reset span, column %d reads as a fresh batch" j)
+      true
+      (String.equal
+         (Trace.to_csv (Sim.batch_trace b ~instance:j))
+         (Trace.to_csv (Sim.batch_trace late ~instance:j)))
+  done
+
+(* One batch over a changing horizon: 20, then 12, then 20 ticks.  The
+   trace store is rebuilt on each change, and every run's traces equal
+   run_indexed. *)
+let test_batch_horizon_changes () =
+  let ix = Sim.index throttle_comp in
+  let b = Sim.batch ~instances:3 ix in
+  List.iter
+    (fun ticks ->
+      let inputs j t =
+        [ ("cranking", present_b ((t + j) mod 4 = 0));
+          ("desired", present_f (float_of_int (ticks + j)));
+          ("current", present_f (float_of_int t)) ]
+      in
+      Sim.run_batch ~ticks ~inputs b;
+      for j = 0 to 2 do
+        checkb
+          (Printf.sprintf "horizon %d, column %d equals run_indexed" ticks j)
+          true
+          (String.equal
+             (Trace.to_csv (Sim.batch_trace b ~instance:j))
+             (Trace.to_csv (Sim.run_indexed ~ticks ~inputs:(inputs j) ix)))
+      done)
+    [ 20; 12; 20 ]
+
 let test_batch_snapshot_rejects () =
   let ix = Sim.index counter in
   let b = Sim.batch ~instances:2 ix in
@@ -1239,6 +1336,17 @@ let test_batch_snapshot_rejects () =
   Sim.run_batch ~ticks:6 ~inputs b;
   checkb "batch_restore rejects a changed horizon" true
     (try Sim.batch_restore b snap ~instance:0; false
+     with Sim.Sim_error _ -> true);
+  (* a restored column's trace up to the capture tick is the
+     snapshot's: neither a span nor a capture may reach back into it *)
+  Sim.run_batch ~count:1 ~stop:4 ~ticks:10 ~inputs b;
+  let snap = Sim.batch_snapshot b ~instance:0 ~tick:4 in
+  Sim.batch_restore b snap ~instance:1;
+  checkb "run_batch rejects a span inside a restored prefix" true
+    (try Sim.run_batch ~start:2 ~reset:false ~ticks:10 ~inputs b; false
+     with Sim.Sim_error _ -> true);
+  checkb "batch_snapshot rejects a tick inside a restored prefix" true
+    (try ignore (Sim.batch_snapshot b ~instance:1 ~tick:3); false
      with Sim.Sim_error _ -> true)
 
 (* ------------------------------------------------------------------ *)
@@ -1596,6 +1704,12 @@ let () =
             test_snapshot_resume_independence;
           Alcotest.test_case "rejects" `Quick test_snapshot_rejects;
           Alcotest.test_case "batched fork" `Quick test_batch_snapshot_fork;
+          Alcotest.test_case "batched snapshot of a restored column" `Quick
+            test_batch_snapshot_of_restored;
+          Alcotest.test_case "batched reset after restore" `Quick
+            test_batch_reset_after_restore;
+          Alcotest.test_case "batched horizon changes" `Quick
+            test_batch_horizon_changes;
           Alcotest.test_case "batched rejects" `Quick
             test_batch_snapshot_rejects ] );
       ( "trace",
