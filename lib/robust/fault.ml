@@ -114,10 +114,11 @@ let first_active_tick t ~horizon =
         in
         go 0
 
+(* Each fault is scanned only up to the running minimum: exact, since
+   [first_active_tick] never returns more than its horizon, and it spares
+   the [Random_ticks] scans (one PRNG seeding per tick) past it. *)
 let first_effect_tick faults ~horizon =
-  List.fold_left
-    (fun acc f -> min acc (first_active_tick f ~horizon))
-    horizon faults
+  List.fold_left (fun acc f -> first_active_tick f ~horizon:acc) horizon faults
 
 let describe_activation = function
   | Always -> "always"
@@ -164,19 +165,39 @@ let noisy ~amplitude ~seed ~flow ~tick = function
       Value.Present (Value.Int (i + Random.State.int st ((2 * a) + 1) - a))
   | other -> other
 
-(* One fault over one stimulus.  The returned stimulus is a pure
-   function of the tick: results are memoized and history-dependent
-   kinds (stuck-at-last) force the ticks before them in order, so the
-   transformation is deterministic no matter how the simulator (or two
-   simulators, compiled and interpreted) query it. *)
-let apply_one fault inputs =
+(* A memo of a stimulus over the ticks asked for: for a layer that reads
+   a tick other than the one it was asked for, so each tick of the layer
+   below is computed once however often it is read. *)
+let memo inputs =
   let cache : (int, (string * Value.message) list) Hashtbl.t =
     Hashtbl.create 64
   in
+  fun tick ->
+    match Hashtbl.find_opt cache tick with
+    | Some msgs -> msgs
+    | None ->
+      let msgs = inputs tick in
+      Hashtbl.replace cache tick msgs;
+      msgs
+
+(* One fault over one stimulus.  The returned stimulus is a pure
+   function of the tick, however the simulator (or two simulators,
+   compiled and interpreted) query it.  Dropout, noise (which re-seeds
+   its RNG from the tick) and spike read only the queried tick, so they
+   compute each query directly and keep nothing; a resumed run costs
+   O(horizon - resume tick).  Only a layer that reads other ticks keeps
+   a memo of what it reads:
+   - stuck-at-last depends on every tick before the query, so queries
+     force the ticks before them in order, memoizing its own output;
+   - delayed reads [tick] and [tick - by] of the stimulus below it, so
+     it memoizes that stimulus — otherwise [d] stacked delayed layers
+     would re-evaluate their inner chain 2^d times per tick. *)
+let apply_one fault inputs =
   match fault.kind with
   | Stuck_at_last ->
-    (* history-dependent: the held sample depends on every tick before
-       the query, so queries force the ticks before them in order *)
+    let cache : (int, (string * Value.message) list) Hashtbl.t =
+      Hashtbl.create 64
+    in
     let held = ref None in
     let computed = ref 0 in
     let compute tick =
@@ -205,40 +226,30 @@ let apply_one fault inputs =
         | Some msgs -> msgs
         | None -> compute tick
       end
-  | Dropout | Noise _ | Spike _ | Delayed _ ->
-    (* pure per tick (Noise re-seeds its RNG from the tick), so queries
-       memoize without forcing earlier ticks — a run resumed from a
-       snapshot at tick t costs O(horizon - t), not O(horizon) *)
-    let compute tick =
-      let base = inputs tick in
-      let orig = flow_message base fault.flow in
-      let act = active fault ~tick in
-      let out =
-        match fault.kind with
-        | Stuck_at_last -> assert false
-        | Dropout -> if act then Value.Absent else orig
-        | Noise { amplitude; noise_seed } ->
-          if act then
-            noisy ~amplitude ~seed:noise_seed ~flow:fault.flow ~tick orig
-          else orig
-        | Spike { value } -> if act then Value.Present value else orig
-        | Delayed { by } ->
-          if act then
-            if tick >= by then flow_message (inputs (tick - by)) fault.flow
-            else Value.Absent
-          else orig
-      in
-      set_flow base fault.flow out
+  | Delayed { by } ->
+    let inputs = memo inputs in
+    fun tick ->
+      if tick < 0 then []
+      else if not (active fault ~tick) then inputs tick
+      else
+        set_flow (inputs tick) fault.flow
+          (if tick >= by then flow_message (inputs (tick - by)) fault.flow
+           else Value.Absent)
+  | Dropout | Noise _ | Spike _ ->
+    let faulty ~tick orig =
+      match fault.kind with
+      | Dropout -> Value.Absent
+      | Noise { amplitude; noise_seed } ->
+        noisy ~amplitude ~seed:noise_seed ~flow:fault.flow ~tick orig
+      | Spike { value } -> Value.Present value
+      | Stuck_at_last | Delayed _ -> assert false
     in
     fun tick ->
       if tick < 0 then []
-      else (
-        match Hashtbl.find_opt cache tick with
-        | Some msgs -> msgs
-        | None ->
-          let msgs = compute tick in
-          Hashtbl.replace cache tick msgs;
-          msgs)
+      else if not (active fault ~tick) then inputs tick
+      else
+        let base = inputs tick in
+        set_flow base fault.flow (faulty ~tick (flow_message base fault.flow))
 
 let apply faults inputs = List.fold_left (fun fn f -> apply_one f fn) inputs faults
 

@@ -34,13 +34,32 @@ type kind =
 
 type t
 
+(** Constructors, one per {!kind}.  Each raises [Invalid_argument] on a
+    window with [until_tick < from_tick], a negative start tick or a
+    probability outside [0, 1]. *)
+
 val stuck_at_last : flow:string -> activation -> t
+(** [stuck_at_last ~flow act]: while active, [flow] repeats the last
+    value delivered while inactive ({!Stuck_at_last}). *)
+
 val dropout : flow:string -> activation -> t
+(** [dropout ~flow act]: while active, messages on [flow] are
+    suppressed ({!Dropout}). *)
+
 val noise : ?seed:int -> flow:string -> amplitude:float -> activation -> t
+(** [noise ?seed ~flow ~amplitude act]: while active, numeric values on
+    [flow] get uniform noise in [[-amplitude, +amplitude]], drawn from a
+    PRNG seeded per ([seed], default 0, tick, flow) ({!Noise}).
+    @raise Invalid_argument on a negative amplitude. *)
+
 val spike : flow:string -> value:Value.t -> activation -> t
+(** [spike ~flow ~value act]: while active, [flow] carries [value], even
+    on ticks where it was silent ({!Spike}). *)
+
 val delayed : flow:string -> by:int -> activation -> t
-(** Constructors.  @raise Invalid_argument on negative windows, delays
-    or amplitudes, or probabilities outside [0, 1]. *)
+(** [delayed ~flow ~by act]: while active, [flow] carries the message
+    offered [by] ticks earlier, absent before tick [by] ({!Delayed}).
+    @raise Invalid_argument on a negative delay. *)
 
 val ecu_crash : flows:string list -> at_tick:int -> t list
 (** Fail-silent ECU crash: every listed boundary flow (the flows the
@@ -55,6 +74,7 @@ val ecu_reset : flows:string list -> at_tick:int -> down_ticks:int -> t list
     outage. *)
 
 val flow : t -> string
+(** The boundary flow the fault targets. *)
 
 val activation : t -> activation
 (** The fault's activation pattern — lets sequence generators sort and
@@ -84,9 +104,15 @@ val first_effect_tick : t list -> horizon:int -> int
     {!Prefix} builds its fork tree from. *)
 
 val apply : t list -> Sim.input_fn -> Sim.input_fn
-(** Compose the faults over a stimulus, left to right.  The result
-    memoizes per-tick so history-dependent faults (stuck-at-last) stay
-    deterministic regardless of the caller's query order. *)
+(** Compose the faults over a stimulus, left to right.  The result is a
+    pure function of the tick, whatever order the caller queries ticks
+    in.  Dropout, noise and spike layers read only the queried tick and
+    compute every query afresh, keeping nothing.  Only the layers that
+    read other ticks keep a memo: stuck-at-last forces the ticks before
+    a query in order and memoizes its own output, since its held sample
+    depends on all of them; delayed memoizes the stimulus below it,
+    since it reads both [tick] and [tick - by] of it, so stacked delayed
+    layers query their base stimulus once per tick. *)
 
 val schedule_of_faults :
   ?base:Clock.schedule -> t list -> event:string -> Clock.schedule
@@ -101,3 +127,4 @@ val describe : t -> string
     counterexamples. *)
 
 val pp : Format.formatter -> t -> unit
+(** Prints {!describe}. *)

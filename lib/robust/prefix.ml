@@ -33,12 +33,17 @@ open Automode_obs
    Callers whose [~schedule] is NOT derived from the fault list via
    {!Fault.schedule_of_faults} must guarantee the same property
    themselves (schedule agreeing with the fault-free one below the
-   first activation) or disable sharing. *)
+   first activation) or disable sharing.
 
-let traces ?(domains = 1) ?(instances = 1) ?(share = true) ~ix ~ticks
+   Each trace goes to the consumer [f] as soon as it is complete — in
+   the worker that simulated it when looped, right after its chunk when
+   batched — so a sweep that keeps only [f]'s results (verdicts) holds
+   one trace per worker or one chunk of traces, never the whole sweep. *)
+
+let map ?(domains = 1) ?(instances = 1) ?(share = true) ~ix ~ticks
     ~base_inputs ~base_schedule
-    (cases : (Fault.t list * Sim.input_fn * Clock.schedule) array) :
-    Trace.t array =
+    (cases : (Fault.t list * Sim.input_fn * Clock.schedule) array)
+    ~(f : int -> Trace.t -> 'a) : 'a array =
   let n = Array.length cases in
   let share = share && n > 0 && ticks > 0 in
   (* a case forks from the trunk at its first fault effect; without
@@ -78,7 +83,8 @@ let traces ?(domains = 1) ?(instances = 1) ?(share = true) ~ix ~ticks
   if width <= 1 then begin
     (* looped: one serial trunk run captures every snapshot, then the
        cases run in case order over [domains] (a resume steps a private
-       copy of the snapshot state) *)
+       copy of the snapshot state), each trace consumed by [f] in the
+       worker that simulated it *)
     let trunk =
       List.combine at
         (Sim.snapshot_run ~schedule:base_schedule ~at ~inputs:base_inputs ix)
@@ -87,9 +93,10 @@ let traces ?(domains = 1) ?(instances = 1) ?(share = true) ~ix ~ticks
       (Parallel.map ~domains
          (fun i ->
            let _, inputs, schedule = cases.(i) in
-           match List.assoc_opt resume.(i) trunk with
-           | Some snap -> Sim.resume_indexed ~schedule ~ticks ~inputs snap
-           | None -> Sim.run_indexed ~schedule ~ticks ~inputs ix)
+           f i
+             (match List.assoc_opt resume.(i) trunk with
+              | Some snap -> Sim.resume_indexed ~schedule ~ticks ~inputs snap
+              | None -> Sim.run_indexed ~schedule ~ticks ~inputs ix))
          (List.init n Fun.id))
   end
   else begin
@@ -134,10 +141,16 @@ let traces ?(domains = 1) ?(instances = 1) ?(share = true) ~ix ~ticks
         ~map:(fun thunks ->
           ignore (Parallel.map ~domains (fun f -> f ()) thunks))
         b;
-      (* materialize before the next chunk reuses the columns *)
+      (* consume before the next chunk reuses the columns *)
       for j = 0 to count - 1 do
-        out.(order.(lo + j)) <- Some (Sim.batch_trace b ~instance:j)
+        let i = order.(lo + j) in
+        out.(i) <- Some (f i (Sim.batch_trace b ~instance:j))
       done
     done;
     Array.map Option.get out
   end
+
+let traces ?domains ?instances ?share ~ix ~ticks ~base_inputs ~base_schedule
+    cases =
+  map ?domains ?instances ?share ~ix ~ticks ~base_inputs ~base_schedule cases
+    ~f:(fun _ tr -> tr)

@@ -25,7 +25,7 @@
     - [campaign.prefix.replayed_ticks] — ticks actually simulated: the
       trunk up to its last snapshot plus [ticks - resume] per case. *)
 
-val traces :
+val map :
   ?domains:int ->
   ?instances:int ->
   ?share:bool ->
@@ -35,13 +35,14 @@ val traces :
   base_schedule:Automode_core.Clock.schedule ->
   (Fault.t list * Automode_core.Sim.input_fn * Automode_core.Clock.schedule)
   array ->
-  Automode_core.Trace.t array
-(** [traces ~ix ~ticks ~base_inputs ~base_schedule cases] simulates
-    every [(faults, inputs, schedule)] case and returns its trace, in
-    case order.  [base_inputs] / [base_schedule] are the fault-free
-    stimulus and schedule the trunk runs under; each case's [inputs] /
-    [schedule] must agree with them strictly below the case's
-    {!Fault.first_effect_tick} — automatic when [inputs] is
+  f:(int -> Automode_core.Trace.t -> 'a) ->
+  'a array
+(** [map ~ix ~ticks ~base_inputs ~base_schedule cases ~f] simulates
+    every [(faults, inputs, schedule)] case and returns [f i trace] for
+    case [i], in case order.  [base_inputs] / [base_schedule] are the
+    fault-free stimulus and schedule the trunk runs under; each case's
+    [inputs] / [schedule] must agree with them strictly below the
+    case's {!Fault.first_effect_tick} — automatic when [inputs] is
     [Fault.apply faults base_inputs] and [schedule] is derived from
     [faults] via {!Fault.schedule_of_faults} over a fault-independent
     base.  Callers with hand-written schedules that consult the fault
@@ -59,4 +60,34 @@ val traces :
     resumes at its smallest fork tick — restored from the trunk
     snapshot there ([batch_restore] plus a [~reset:false] span), or
     reset and run from tick 0 — so the trunk is snapshotted at most
-    once per chunk.  The result is byte-identical under every plan. *)
+    once per chunk.  The traces are byte-identical under every plan.
+
+    [f] consumes each trace as soon as it is complete, so a sweep that
+    keeps only what [f] returns never holds its traces:
+    - [f] is called exactly once per case;
+    - looped, it runs right after the case's [run_indexed] /
+      [resume_indexed], in case order on each worker, on a worker
+      domain under [domains > 1];
+    - batched, it runs on the calling domain right after each chunk's
+      simulation, before the next chunk reuses the columns — in chunk
+      order, that is with the cases sorted by fork tick.
+    [f] must therefore be pure, or at least insensitive to call order
+    and safe to run from several domains at once; scenario monitors
+    are pure functions of the trace. *)
+
+val traces :
+  ?domains:int ->
+  ?instances:int ->
+  ?share:bool ->
+  ix:Automode_core.Sim.indexed ->
+  ticks:int ->
+  base_inputs:Automode_core.Sim.input_fn ->
+  base_schedule:Automode_core.Clock.schedule ->
+  (Fault.t list * Automode_core.Sim.input_fn * Automode_core.Clock.schedule)
+  array ->
+  Automode_core.Trace.t array
+(** [traces ~ix ~ticks ~base_inputs ~base_schedule cases] is {!map} with
+    the identity consumer [fun _ tr -> tr]: every case's trace, in case
+    order, all held at once.  For callers that need several traces
+    together (proptest observers, litmus twin pairs); a sweep that only
+    judges each trace should pass its judgement to {!map} instead. *)

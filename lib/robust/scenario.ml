@@ -91,18 +91,18 @@ let run_seeds ?(domains = 1) ?(instances = 1) ?(prefix_share = true) s ~seeds
       (fun faults -> (faults, Fault.apply faults s.inputs, s.schedule faults))
       injected
   in
-  let traces =
-    Prefix.traces ~domains ~instances ~share:prefix_share
+  (* each trace is judged as soon as it exists: the sweep keeps only
+     verdicts *)
+  let verdicts =
+    Prefix.map ~domains ~instances ~share:prefix_share
       ~ix:(Lazy.force s.indexed) ~ticks:s.ticks ~base_inputs:s.inputs
       ~base_schedule:(s.schedule []) cases
+      ~f:(fun _ tr -> verdicts_of_trace s tr)
   in
   Array.to_list
     (Array.mapi
-       (fun i tr ->
-         { seed = seeds.(i);
-           injected = injected.(i);
-           verdicts = verdicts_of_trace s tr })
-       traces)
+       (fun i verdicts -> { seed = seeds.(i); injected = injected.(i); verdicts })
+       verdicts)
 
 let sweep ?(shrink = true) ?(domains = 1) ?(instances = 1)
     ?(prefix_share = true) s ~seeds =

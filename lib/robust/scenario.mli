@@ -32,10 +32,21 @@ val make :
     @raise Invalid_argument on a negative horizon. *)
 
 val name : t -> string
+(** The scenario's name, as given to {!make} — the campaign title in
+    reports. *)
+
 val ticks : t -> int
+(** The simulated horizon every seed of a sweep runs for. *)
+
 val component : t -> Model.component
+(** The component under test. *)
+
 val monitors : t -> string list
+(** The monitor names, in the order their verdicts are listed. *)
+
 val faults : t -> seed:int -> Fault.t list
+(** The fault set the scenario's recipe derives for [seed] — a pure
+    function of the seed. *)
 
 val prepare : t -> unit
 (** Force the index compilation now.  {!sweep} calls it before fanning
@@ -88,12 +99,13 @@ val run_seeds :
   ?domains:int -> ?instances:int -> ?prefix_share:bool -> t ->
   seeds:int list -> seed_result list
 (** {!run_seed} over a seed list, results in seed order: every seed's
-    fault set and stimulus are expanded up front, all cases are
-    simulated in one sweep through the campaign executor
-    ({!Prefix.traces}) under the plan [?domains], [?instances] (both
-    default 1) and [?prefix_share] (default [true]), and the monitors
-    then judge the traces in seed order — also under
-    [~prefix_share:false].  [?domains] fans the sweep out over a
+    fault set and stimulus are expanded up front, and all cases are
+    simulated in one sweep through the campaign executor ({!Prefix.map})
+    under the plan [?domains], [?instances] (both default 1) and
+    [?prefix_share] (default [true]).  The monitors judge each trace as
+    soon as it exists, inside the executor, and the sweep keeps only
+    the verdicts, so its memory does not grow with seeds x ticks — also
+    under [~prefix_share:false].  [?domains] fans the sweep out over a
     {!Parallel.map} domain pool, [?instances] steps it through the
     batched engine, and [?prefix_share] simulates the fault-free prefix
     shared by the seeds' catalogs once and replays only suffixes.  The

@@ -162,6 +162,21 @@ let decode_entry scn ~seed ~shrink payload =
 (* Cached sweep with range splicing                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The cached [(seed, hit)] list with each miss filled, in order, from
+   [fresh] — the missing seeds' [(seed, value)] results in the order they
+   were asked for.  One walk, checking the seed at each step. *)
+let splice cached fresh =
+  let fresh = ref fresh in
+  List.map
+    (fun (seed, hit) ->
+      match hit, !fresh with
+      | Some v, _ -> v
+      | None, (s, v) :: rest when Int.equal s seed ->
+        fresh := rest;
+        v
+      | None, _ -> invalid_arg "Cached.splice: fresh results out of step")
+    cached
+
 let seed_key ~scenario_digest scn ~shrink seed =
   Printf.sprintf "sweep|%s|seed=%d|faults=%s|shrink=%b|%s" scenario_digest
     seed
@@ -212,14 +227,7 @@ let sweep ?cache ?(shrink = true) ?(domains = 1) ?(instances = 1)
           missing results
       end
     in
-    let per_seed =
-      List.map
-        (fun (seed, hit) ->
-          match hit with
-          | Some rf -> rf
-          | None -> List.assoc seed fresh)
-        cached
-    in
+    let per_seed = splice cached fresh in
     { Scenario.scenario = Scenario.name scn;
       horizon = Scenario.ticks scn;
       seeds;
@@ -273,9 +281,4 @@ let net_campaign ?cache ~leg ~run ~seeds () =
       (fun (seed, verdicts) ->
         Cache.store cache ~key:(key seed) (encode_net_entry verdicts))
       fresh;
-    List.map
-      (fun (seed, hit) ->
-        match hit with
-        | Some verdicts -> (seed, verdicts)
-        | None -> (seed, List.assoc seed fresh))
-      cached
+    List.map2 (fun (seed, _) v -> (seed, v)) cached (splice cached fresh)

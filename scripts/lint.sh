@@ -34,12 +34,13 @@ git grep --untracked -nI -e '^<<<<<<< ' -e '^>>>>>>> ' -e '^||||||| ' -- \
 report "merge conflict marker"
 
 # Every public value in the observability, redundancy and campaign
-# service interfaces, the simulator and the campaign executor must
-# carry an odoc comment (this repo documents values with a (** ... *)
-# immediately after the declaration).  A val with no doc comment
-# before the next val (or EOF) is flagged.
+# service interfaces, the simulator, the campaign executor, the fault
+# catalog and scenarios must carry an odoc comment (this repo documents
+# values with a (** ... *) immediately after the declaration).  A val
+# with no doc comment before the next val (or EOF) is flagged.
 for f in lib/obs/*.mli lib/litmus/*.mli lib/proptest/*.mli lib/redund/*.mli lib/serve/*.mli \
-  lib/core/sim.mli lib/robust/prefix.mli; do
+  lib/core/sim.mli lib/robust/prefix.mli lib/robust/fault.mli \
+  lib/robust/scenario.mli; do
   awk -v file="$f" '
     /^val / {
       if (pending != "" && !documented)
@@ -53,6 +54,6 @@ for f in lib/obs/*.mli lib/litmus/*.mli lib/proptest/*.mli lib/redund/*.mli lib/
     }
   ' "$f"
 done >"$tmp"
-report "undocumented public .mli value (lib/obs, lib/litmus, lib/proptest, lib/redund, lib/serve, lib/core/sim.mli, lib/robust/prefix.mli)"
+report "undocumented public .mli value (lib/obs, lib/litmus, lib/proptest, lib/redund, lib/serve, lib/core/sim.mli, lib/robust/{prefix,fault,scenario}.mli)"
 
 exit $status

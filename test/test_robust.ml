@@ -100,6 +100,132 @@ let test_fault_query_order_independent () =
   let bw = List.rev bw in
   checkb "query order irrelevant" true (List.for_all2 msg_equal fw bw)
 
+(* Query-order independence, kind by kind: a fresh [apply] closure
+   queried descending, shuffled or twice per tick gives the very
+   messages an ascending one gives, and so does a second closure.  Covers
+   every stateless kind alone and stuck-at-last under a stateless layer
+   (its in-order memo below a layer that computes every query afresh). *)
+let test_fault_stateless_query_orders () =
+  let n = 40 in
+  let random seed = Fault.Random_ticks { probability = 0.4; seed } in
+  let base tick =
+    [ ("x", present_f (float_of_int tick)); ("y", present_i (tick mod 3)) ]
+  in
+  let catalogs =
+    [ ("dropout", [ Fault.dropout ~flow:"x" (random 1) ]);
+      ("noise", [ Fault.noise ~seed:3 ~flow:"x" ~amplitude:1.5 (random 2) ]);
+      ("spike", [ Fault.spike ~flow:"y" ~value:(Value.Int 9) (random 4) ]);
+      ( "stuck under noise",
+        [ Fault.stuck_at_last ~flow:"x" (random 5);
+          Fault.noise ~seed:6 ~flow:"x" ~amplitude:0.5 (random 7) ] ) ]
+  in
+  let msgs_equal =
+    List.equal (fun (f, m) (g, m') -> String.equal f g && msg_equal m m')
+  in
+  let query faults ticks =
+    let fn = Fault.apply faults base in
+    let got = Array.make n [] in
+    List.iter (fun t -> got.(t) <- fn t) ticks;
+    got
+  in
+  let ascending = List.init n Fun.id in
+  let shuffled =
+    let st = Random.State.make [| 17 |] in
+    List.map snd
+      (List.sort compare
+         (List.map (fun t -> (Random.State.bits st, t)) ascending))
+  in
+  List.iter
+    (fun (name, faults) ->
+      let expected = query faults ascending in
+      List.iter
+        (fun (order, ticks) ->
+          let got = query faults ticks in
+          for t = 0 to n - 1 do
+            checkb
+              (Printf.sprintf "%s, %s: tick %d" name order t)
+              true
+              (msgs_equal expected.(t) got.(t))
+          done)
+        [ ("second closure", ascending);
+          ("descending", List.rev ascending);
+          ("shuffled", shuffled);
+          ("repeated", List.concat_map (fun t -> [ t; t ]) ascending) ])
+    catalogs
+
+(* Twelve stacked delayed layers read their base stimulus at most once
+   per tick: each layer memoizes the stimulus below it, which it reads at
+   both [tick] and [tick - by] — without the memo, 2^12 reads per tick. *)
+let test_fault_delayed_stack_memo () =
+  let n = 30 in
+  let reads = Array.make n 0 in
+  let base tick =
+    reads.(tick) <- reads.(tick) + 1;
+    ramp tick
+  in
+  let fn =
+    Fault.apply
+      (List.init 12 (fun _ -> Fault.delayed ~flow:"x" ~by:1 Fault.Always))
+      base
+  in
+  for t = n - 1 downto 0 do
+    let expected = if t >= 12 then present_i (t - 12) else Value.Absent in
+    checkb (Printf.sprintf "tick %d delayed by 12" t) true
+      (msg_equal (flow_at fn "x" t) expected)
+  done;
+  for t = 0 to n - 1 do
+    ignore (fn t)
+  done;
+  Array.iteri
+    (fun t k -> checkb (Printf.sprintf "tick %d read %d times" t k) true (k <= 1))
+    reads
+
+(* [first_effect_tick] scans each fault only up to the running minimum;
+   the result equals the minimum over full scans, on random catalogs of
+   every activation kind and horizons including 0. *)
+let test_first_effect_tick_random =
+  let activation =
+    QCheck.Gen.(
+      oneof
+        [ return Fault.Always;
+          map2
+            (fun from_tick len ->
+              Fault.Window { from_tick; until_tick = from_tick + len })
+            (int_range 0 60) (int_range 0 20);
+          map (fun from_tick -> Fault.From { from_tick }) (int_range 0 60);
+          map2
+            (fun p seed -> Fault.Random_ticks { probability = p; seed })
+            (oneof [ return 0.; return 1.; float_range 0. 0.2 ])
+            (int_range 0 1000) ])
+  in
+  let fault =
+    QCheck.Gen.(
+      map3
+        (fun kind flow act ->
+          match kind with
+          | 0 -> Fault.dropout ~flow act
+          | 1 -> Fault.stuck_at_last ~flow act
+          | 2 -> Fault.noise ~flow ~amplitude:1. act
+          | 3 -> Fault.spike ~flow ~value:(Value.Int 1) act
+          | _ -> Fault.delayed ~flow ~by:2 act)
+        (int_range 0 4)
+        (oneofl [ "a"; "b"; "FZG_V" ])
+        activation)
+  in
+  QCheck.Test.make ~name:"first_effect_tick = min of full scans" ~count:500
+    (QCheck.make
+       ~print:(fun (faults, horizon) ->
+         Printf.sprintf "horizon %d: %s" horizon
+           (String.concat "; " (List.map Fault.describe faults)))
+       QCheck.Gen.(
+         pair (list_size (int_range 0 5) fault)
+           (oneof [ return 0; int_range 0 80 ])))
+    (fun (faults, horizon) ->
+      Fault.first_effect_tick faults ~horizon
+      = List.fold_left
+          (fun acc f -> min acc (Fault.first_active_tick f ~horizon))
+          horizon faults)
+
 let test_fault_activation_deterministic () =
   let f =
     Fault.dropout ~flow:"x" (Fault.Random_ticks { probability = 0.3; seed = 5 })
@@ -946,6 +1072,16 @@ let test_prefix_executor_plans () =
          [ (share, instances, 1); (share, instances, 2) ])
        [ (true, 1); (true, 3); (false, 1); (false, 3) ])
 
+(* 40 cases with 40 distinct late fork ticks: case i drops FZG_V from
+   tick 100 + i to the horizon. *)
+let late_dropout_cases ~ticks =
+  Array.init 40 (fun i ->
+      let faults =
+        [ Fault.dropout ~flow:"FZG_V"
+            (Fault.Window { from_tick = 100 + i; until_tick = ticks }) ]
+      in
+      (faults, Fault.apply faults Door_lock.crash_scenario, Clock.no_events))
+
 (* The batched plan runs at the width asked for: 40 cases with 40
    distinct late fork ticks (case i drops FZG_V from tick 100 + i) are
    sorted into chunks of 16 that resume at ticks 100, 116 and 132, so
@@ -954,14 +1090,7 @@ let test_prefix_executor_plans () =
 let test_prefix_full_width () =
   let ix = Sim.index Door_lock.component in
   let ticks = 160 and base = Door_lock.crash_scenario in
-  let cases =
-    Array.init 40 (fun i ->
-        let faults =
-          [ Fault.dropout ~flow:"FZG_V"
-              (Fault.Window { from_tick = 100 + i; until_tick = ticks }) ]
-        in
-        (faults, Fault.apply faults base, Clock.no_events))
-  in
+  let cases = late_dropout_cases ~ticks in
   List.iter
     (fun domains ->
       let m = Automode_obs.Metrics.create () in
@@ -987,6 +1116,72 @@ let test_prefix_full_width () =
         (Some 40) (v "sim.snapshot.restore"))
     [ 1; 2 ]
 
+(* The streaming contract of [Prefix.map], on the late-dropout catalog
+   above under sharing x instances x domains: [f] runs exactly once per
+   case, the results come back in case order, every trace handed to [f]
+   equals its case's run_indexed, and no trace outlives its consumer.
+   Inside [f], after a full major collection, a weak pointer to the
+   trace of an earlier chunk must be empty — batched, the chunks of 16
+   follow case order on this catalog (fork ticks rise with the case, or
+   are all 0 without sharing, and the sort is stable); looped, every
+   earlier case is its own chunk, but only cases that finished on the
+   calling domain count, since the other domain may still be consuming
+   its own. *)
+let test_prefix_map_streams () =
+  let ix = Sim.index Door_lock.component in
+  let ticks = 160 in
+  let cases = late_dropout_cases ~ticks in
+  let n = Array.length cases in
+  List.iter
+    (fun (share, instances, domains) ->
+      let plan = Printf.sprintf "share %b x%d j%d" share instances domains in
+      let calls = Array.make n 0 in
+      let domain_of = Array.make n (-1) in
+      let weak = Weak.create n in
+      let lock = Mutex.create () in
+      let earlier i k =
+        if instances > 1 then k / instances < i / instances
+        else k < i && domain_of.(k) = domain_of.(i)
+      in
+      let f i tr =
+        calls.(i) <- calls.(i) + 1;
+        domain_of.(i) <- (Domain.self () :> int);
+        let _, inputs, _ = cases.(i) in
+        let same = Trace.equal tr (Sim.run_indexed ~ticks ~inputs ix) in
+        Gc.full_major ();
+        let held =
+          Mutex.protect lock (fun () ->
+              Weak.set weak i (Some tr);
+              List.filter
+                (fun k -> earlier i k && Weak.check weak k)
+                (List.init n Fun.id))
+        in
+        (i, same, held)
+      in
+      let results =
+        Prefix.map ~domains ~instances ~share ~ix ~ticks
+          ~base_inputs:Door_lock.crash_scenario ~base_schedule:Clock.no_events
+          cases ~f
+      in
+      Array.iteri
+        (fun i (j, same, held) ->
+          checki (Printf.sprintf "%s: case %d called once" plan i) 1 calls.(i);
+          checki (Printf.sprintf "%s: result %d in case order" plan i) i j;
+          checkb (Printf.sprintf "%s: case %d equals run_indexed" plan i)
+            true same;
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: case %d, no earlier trace held" plan i)
+            [] held)
+        results)
+    (List.concat_map
+       (fun share ->
+         List.concat_map
+           (fun instances -> [ (share, instances, 1); (share, instances, 2) ])
+           [ 1; 16 ])
+       [ true; false ])
+
+let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
+
 let () =
   Alcotest.run "automode-robust"
     [ ( "fault",
@@ -1000,6 +1195,10 @@ let () =
           Alcotest.test_case "noise bounded" `Quick test_fault_noise_bounded;
           Alcotest.test_case "query order independent" `Quick
             test_fault_query_order_independent;
+          Alcotest.test_case "stateless kinds, any query order" `Quick
+            test_fault_stateless_query_orders;
+          Alcotest.test_case "delayed stack reads base once" `Quick
+            test_fault_delayed_stack_memo;
           Alcotest.test_case "activation deterministic" `Quick
             test_fault_activation_deterministic;
           Alcotest.test_case "validation" `Quick test_fault_validation;
@@ -1008,7 +1207,8 @@ let () =
           Alcotest.test_case "ecu crash" `Quick test_fault_ecu_crash;
           Alcotest.test_case "ecu reset" `Quick test_fault_ecu_reset;
           Alcotest.test_case "crash applies to stimulus" `Quick
-            test_fault_crash_applies ] );
+            test_fault_crash_applies ]
+        @ qsuite [ test_first_effect_tick_random ] );
       ( "monitor",
         [ Alcotest.test_case "range" `Quick test_monitor_range;
           Alcotest.test_case "bounded response" `Quick
@@ -1085,4 +1285,6 @@ let () =
           Alcotest.test_case "executor plans" `Quick
             test_prefix_executor_plans;
           Alcotest.test_case "full-width chunks" `Quick
-            test_prefix_full_width ] ) ]
+            test_prefix_full_width;
+          Alcotest.test_case "map streams traces into f" `Quick
+            test_prefix_map_streams ] ) ]

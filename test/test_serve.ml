@@ -163,6 +163,38 @@ let test_overlap_splicing () =
     (Report.to_text (Scenario.sweep ~shrink:false scn ~seeds:(seeds_range 3 6)))
     (Report.to_text spliced)
 
+(* Misses are spliced back by position, checking the seed at each step:
+   a seed list with duplicates, out of order, renders the uncached
+   report byte for byte, cold (every seed missing, duplicates included)
+   and then warm (every seed a hit). *)
+let test_splice_duplicate_unsorted_seeds () =
+  let cache = Serve.Cache.create () in
+  let scn = Robustness.door_lock_scenario in
+  let seeds = [ 5; 2; 5; 9; 1; 2; 7 ] in
+  let plain = Report.to_text (Scenario.sweep scn ~seeds) in
+  checks "cold, duplicate and unsorted seeds" plain
+    (Report.to_text (Serve.Cached.sweep ~cache scn ~seeds));
+  let _, m0, _ = Serve.Cache.stats cache in
+  checks "warm, duplicate and unsorted seeds" plain
+    (Report.to_text (Serve.Cached.sweep ~cache scn ~seeds));
+  let _, m1, _ = Serve.Cache.stats cache in
+  checki "warm run: no misses" 0 (m1 - m0);
+  (* the net legs splice the same way: seed 4 cached, the rest fresh *)
+  let run ~seeds =
+    List.map
+      (fun seed ->
+        ( seed,
+          [ ( "m",
+              if seed mod 2 = 0 then Monitor.Pass
+              else Monitor.Fail { at_tick = seed; reason = "odd" } ) ] ))
+      seeds
+  in
+  let net seeds = Serve.Cached.net_campaign ~cache ~leg:"splice" ~run ~seeds () in
+  ignore (net [ 4 ]);
+  let seeds = [ 3; 4; 8; 3; 1; 4 ] in
+  checkb "net legs: partly cached" true (net seeds = run ~seeds);
+  checkb "net legs: warm" true (net seeds = run ~seeds)
+
 let test_shrink_flag_partitions_cache () =
   let cache = Serve.Cache.create () in
   let scn = Robustness.door_lock_scenario in
@@ -646,6 +678,8 @@ let suite =
       test_warm_report_byte_identical;
     Alcotest.test_case "overlapping range splicing" `Quick
       test_overlap_splicing;
+    Alcotest.test_case "splice duplicate, unsorted seeds" `Quick
+      test_splice_duplicate_unsorted_seeds;
     Alcotest.test_case "shrink flag partitions cache" `Quick
       test_shrink_flag_partitions_cache;
     Alcotest.test_case "net campaign cached" `Quick test_net_campaign_cached;
