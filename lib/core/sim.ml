@@ -363,9 +363,6 @@ let step ?(schedule = Clock.no_events) ~tick ~inputs (comp : Model.component)
 
 type input_fn = int -> (string * Value.message) list
 
-let constant_inputs values _tick =
-  List.map (fun (port, v) -> (port, Value.Present v)) values
-
 let no_inputs _tick = []
 
 let run ?(schedule = Clock.no_events) ~ticks ~inputs (comp : Model.component) =
@@ -2277,7 +2274,6 @@ let batch ~instances (ix : indexed) : batch =
     bb_prefix = Array.make instances (Trace.make ~flows);
     bb_prefix_tick = Array.make instances 0 }
 
-let batch_instances b = b.bb_instances
 let batch_count b = b.bb_count
 
 let run_batch ?schedules ?map ?(shards = 1) ?count ?(start = 0) ?stop

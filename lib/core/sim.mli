@@ -49,9 +49,6 @@ val run :
 (** Simulate [ticks] ticks and record a trace over all boundary input
     and output ports of the component. *)
 
-val constant_inputs : (string * Value.t) list -> input_fn
-(** The stimulus that offers the same present values every tick. *)
-
 val no_inputs : input_fn
 (** The empty stimulus. *)
 
@@ -211,9 +208,6 @@ type batch
 val batch : instances:int -> indexed -> batch
 (** Compile for a fixed instance capacity.  @raise Sim_error when
     [instances <= 0]. *)
-
-val batch_instances : batch -> int
-(** The compiled instance capacity. *)
 
 val batch_count : batch -> int
 (** Instances simulated by the most recent {!run_batch} (0 before the

@@ -198,7 +198,7 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
           if Eval.survivor cls then Some (String.concat "," cls.Eval.tags)
           else None
       in
-      match Builder.ddmin_ops ~fails ops with
+      match Shrink.ddmin ~fails ops with
       | Some (ops', _) -> List.length ops' = List.length ops
       | None -> true
   in

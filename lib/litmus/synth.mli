@@ -11,10 +11,11 @@
     new-hash/total bookkeeping), keep the survivors (distinguishing or
     bound-violating), prune them to the minimal ones (no proper atom
     subset survives), and certify each minimal scenario with the
-    sequence-level ddmin plus a {!Automode_robust.Shrink.minimize}
-    horizon pin.  Everything downstream of (twin, alphabet, config) is
-    pure, so the report is byte-identical across reruns, engines,
-    domain counts and cache states. *)
+    sequence-level {!Automode_robust.Shrink.ddmin} plus a
+    {!Automode_robust.Shrink.minimize} horizon pin.  Everything
+    downstream of (twin, alphabet, config) is pure, so the report is
+    byte-identical across reruns, engines, domain counts and cache
+    states. *)
 
 type cache = {
   cache_prefix : string;

@@ -28,9 +28,6 @@ let set s =
   current := s;
   spans_enabled := (match s with Some s -> s.record_spans | None -> false)
 
-let install s = set (Some s)
-let uninstall () = set None
-
 let with_sink s f =
   let prev = !current in
   set (Some s);

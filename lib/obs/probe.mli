@@ -46,12 +46,6 @@ val active : unit -> bool
 val spans_on : unit -> bool
 (** [true] iff a sink is installed and it wants span events. *)
 
-val install : sink -> unit
-(** Install [s] as the global sink, replacing any previous one. *)
-
-val uninstall : unit -> unit
-(** Remove the global sink; all probes become no-ops again. *)
-
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** [with_sink s f] installs [s], runs [f ()], and uninstalls on the
     way out (also when [f] raises).  The previous sink, if any, is

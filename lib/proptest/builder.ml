@@ -177,106 +177,20 @@ let run_case t ~seed ~iteration =
 (* Sequence-level shrinking                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Split [ops] into [n] contiguous chunks (sizes differ by at most 1). *)
-let chunks_of ops n =
-  let len = List.length ops in
-  let base = len / n and extra = len mod n in
-  let rec go i remaining =
-    if i >= n then []
-    else
-      let size = base + if i < extra then 1 else 0 in
-      let chunk, rest =
-        let rec take k = function
-          | rest when k = 0 -> ([], rest)
-          | [] -> ([], [])
-          | x :: xs ->
-            let taken, rest = take (k - 1) xs in
-            (x :: taken, rest)
-        in
-        take size remaining
-      in
-      chunk :: go (i + 1) rest
-  in
-  go 0 ops
+let ddmin_ops = Shrink.ddmin
 
-(* Classic ddmin over the operation list: try dropping whole chunks at
-   increasing granularity until no chunk can be removed.  Every kept
-   candidate has been re-run and observed to fail, and removal preserves
-   order, so the result is a genuine failing subsequence. *)
-let ddmin ~fails ops reason0 =
-  let rec go ops n reason =
-    let len = List.length ops in
-    if len <= 1 then (ops, reason)
-    else
-      let n = min n len in
-      let chunks = chunks_of ops n in
-      let drop_chunk i =
-        List.concat (List.filteri (fun j _ -> j <> i) chunks)
-      in
-      let rec try_chunk i =
-        if i >= n then None
-        else
-          let candidate = drop_chunk i in
-          match fails candidate with
-          | Some reason' -> Some (candidate, reason')
-          | None -> try_chunk (i + 1)
-      in
-      match try_chunk 0 with
-      | Some (smaller, reason') -> go smaller (max (n - 1) 2) reason'
-      | None -> if n >= len then (ops, reason) else go ops (2 * n) reason
-  in
-  go ops 2 reason0
-
-(* Does [monitor] still fail when the case runs with this candidate?
-   The reason string is what ddmin threads through, so the final shrunk
-   replay reports the reason of the minimal candidate, not the original. *)
-let still_fails ~run ~monitor ~faults ~ticks =
-  match List.assoc_opt monitor (run ~faults ~ticks) with
-  | Some (Monitor.Fail { reason; _ }) -> Some reason
-  | Some Monitor.Pass | None -> None
-
-let ddmin_ops ~fails ops =
-  match fails ops with
-  | None -> None
-  | Some reason -> Some (ddmin ~fails ops reason)
-
+(* The op-level replay of a case is the fault-level replay of its
+   compiled faults, so one runner serves both passes of the shrinker. *)
 let shrink_case t ~seed ~mon ~ops =
-  let run_on_ops ~faults ~ticks = run_ops t ~seed ~ops:faults ~ticks in
-  match
-    still_fails ~run:run_on_ops ~monitor:mon ~faults:ops ~ticks:t.spec_ticks
-  with
-  | None -> None
-  | Some reason0 ->
-    (* phase 1: delta-debug the operation list (chunks, then the
-       one-removal fixpoint + horizon prefix of Shrink.minimize) *)
-    let ops1, _ =
-      ddmin
-        ~fails:(fun candidate ->
-          still_fails ~run:run_on_ops ~monitor:mon ~faults:candidate
-            ~ticks:t.spec_ticks)
-        ops reason0
-    in
-    (match
-       Shrink.minimize ~run:run_on_ops ~monitor:mon ~faults:ops1
-         ~ticks:t.spec_ticks
-     with
-     | None -> None
-     | Some op_outcome ->
-       let min_ops = op_outcome.Shrink.faults in
-       (* phase 2: the fault-subset + horizon-prefix pass over the
-          compiled fault list of the minimal sequence *)
-       let faults0 = faults_of t ~seed ~ops:min_ops in
-       let shrunk_faults, shrunk_ticks, shrunk_reason =
-         match
-           Shrink.minimize
-             ~run:(fun ~faults ~ticks -> run_faults t ~faults ~ticks)
-             ~monitor:mon ~faults:faults0 ~ticks:op_outcome.Shrink.ticks
-         with
-         | Some o -> (o.Shrink.faults, o.Shrink.ticks, o.Shrink.reason)
-         | None ->
-           (faults0, op_outcome.Shrink.ticks, op_outcome.Shrink.reason)
-       in
-       Some { shrunk_ops = min_ops; shrunk_faults; shrunk_ticks; shrunk_reason })
+  Shrink.minimize_ops
+    ~run:(fun ~faults ~ticks -> run_faults t ~faults ~ticks)
+    ~compile:(fun ops -> faults_of t ~seed ~ops)
+    ~monitor:mon ~ops ~ticks:t.spec_ticks
+  |> Option.map (fun (shrunk_ops, (o : Fault.t Shrink.outcome)) ->
+         { shrunk_ops;
+           shrunk_faults = o.faults;
+           shrunk_ticks = o.ticks;
+           shrunk_reason = o.reason })
 
 let case_failures ?(shrink = true) t case =
   List.filter_map

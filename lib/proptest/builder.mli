@@ -7,10 +7,11 @@
     observers, then sweep (seed, iteration) pairs: every pair expands
     deterministically into an operation sequence, simulates, and is
     judged by every monitor.  Failing cases are shrunk {e at the
-    sequence level} — a delta-debugging pass over the operation list
-    followed by {!Automode_robust.Shrink.minimize}'s fault-subset and
-    horizon-prefix pass — down to a minimal failing trace that replays
-    bit-for-bit.
+    sequence level} by {!Automode_robust.Shrink.minimize_ops} — the
+    one delta-debugging loop of {!Automode_robust.Shrink} over the
+    operation list, a horizon bisection, then the same loop over the
+    minimal sequence's compiled faults — down to a minimal failing
+    trace that replays bit-for-bit.
 
     Everything downstream of (seed, iteration) is pure, so campaigns,
     reports and shrunk counterexamples are byte-identical across
@@ -148,12 +149,12 @@ val eval_monitors : t -> Trace.t -> (string * Monitor.verdict) list
 val ddmin_ops :
   fails:(Op.t list -> string option) ->
   Op.t list -> (Op.t list * string) option
-(** The sequence-level delta-debugging pass used by shrinking, exposed
-    for external minimality certification: [fails ops] returns [Some
-    reason] when the candidate still exhibits the failure.  Returns the
-    minimal failing subsequence and its reason, or [None] when the full
-    list does not fail.  Every kept candidate was re-executed, so the
-    result fails by construction. *)
+(** {!Automode_robust.Shrink.ddmin} on operation lists — the
+    sequence-level pass of {!case_failures}, for external minimality
+    certification: [fails ops] returns [Some reason] when the candidate
+    still exhibits the failure.  Returns the 1-minimal failing
+    subsequence and its reason, or [None] when the full list does not
+    fail. *)
 
 type case = {
   seed : int;

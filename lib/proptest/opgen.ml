@@ -9,8 +9,6 @@ let draw_int st n =
   if n < 1 then invalid_arg "Opgen.draw_int: bound must be positive";
   Random.State.int st n
 
-let draw_float st bound = Random.State.float st bound
-
 let draw_pick st = function
   | [] -> invalid_arg "Opgen.draw_pick: empty list"
   | xs -> List.nth xs (Random.State.int st (List.length xs))

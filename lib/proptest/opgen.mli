@@ -17,9 +17,6 @@ type rand
 val draw_int : rand -> int -> int
 (** Uniform in [[0, n)].  @raise Invalid_argument on [n < 1]. *)
 
-val draw_float : rand -> float -> float
-(** Uniform in [[0, bound)]. *)
-
 val draw_pick : rand -> 'a list -> 'a
 (** Uniform element of a non-empty list.
     @raise Invalid_argument on an empty list. *)

@@ -2,8 +2,6 @@ open Automode_core
 
 type strategy = Majority | Median
 
-let strategy_name = function Majority -> "majority" | Median -> "median"
-
 (* Presence-guarded expressions.  [If] returns the chosen branch's
    message even when the other branch is absent, and [Is_present] is
    always present — so [if_ p e fallback] never poisons a condition the

@@ -18,9 +18,6 @@ type strategy =
   | Majority  (** exact-match 2-of-N voting; any value type *)
   | Median    (** rank-order middle value; numeric types only *)
 
-val strategy_name : strategy -> string
-(** ["majority"] / ["median"]. *)
-
 val pair : ?name:string -> ?ty:Dtype.t -> unit -> Model.component
 (** Hot-standby comparator (default name ["StandbyPair"]): inputs
     [primary] and [standby], outputs

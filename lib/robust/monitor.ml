@@ -13,8 +13,6 @@ let verdict_to_string = function
   | Pass -> "pass"
   | Fail { at_tick; reason } -> Printf.sprintf "FAIL@t%d %s" at_tick reason
 
-let pp_verdict ppf v = Format.pp_print_string ppf (verdict_to_string v)
-
 let column trace flow =
   try Some (Trace.column trace flow) with Not_found -> None
 

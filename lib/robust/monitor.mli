@@ -22,7 +22,6 @@ val eval : t -> Trace.t -> verdict
 
 val is_fail : verdict -> bool
 val verdict_to_string : verdict -> string
-val pp_verdict : Format.formatter -> verdict -> unit
 
 val range : name:string -> flow:string -> lo:float -> hi:float -> t
 (** Every present numeric message on [flow] stays within [lo, hi];

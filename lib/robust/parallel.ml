@@ -43,5 +43,3 @@ let map ~domains f items =
               return *)
            assert false)
   end
-
-let default_domains () = Stdlib.max 1 (Domain.recommended_domain_count ())

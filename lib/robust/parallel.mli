@@ -13,7 +13,3 @@ val map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
     With [domains <= 1] no domain is spawned and the map runs serially.
     If any application raises, the exception of the earliest failing
     item is re-raised (with its backtrace) after all workers joined. *)
-
-val default_domains : unit -> int
-(** The runtime's recommended domain count for this machine (>= 1) —
-    a sensible default for a [--domains] flag. *)

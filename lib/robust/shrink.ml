@@ -1,6 +1,9 @@
 (* Counterexample shrinking.  Generic over how a fault set + horizon is
-   turned into verdicts, so it serves both stimulus-level scenarios and
-   any future TA-level campaigns without a module cycle. *)
+   turned into verdicts, so it serves stimulus-level scenarios, the
+   proptest builder's operation sequences and litmus certification
+   without a module cycle.  Every entry point runs the one
+   delta-debugging loop below; they differ in its starting granularity
+   and in the passes they chain. *)
 
 type 'a outcome = {
   faults : 'a list;
@@ -18,39 +21,95 @@ let fails ~run ~monitor ~faults ~ticks =
   | Monitor.Fail { reason; _ } -> Some reason
   | Monitor.Pass -> None
 
-(* Drop whole faults greedily until no single removal still fails, then
-   binary-search the shortest failing prefix.  Every candidate we keep
-   has been re-run and observed to fail, so the shrunk outcome is
-   guaranteed to replay to a failure of the same monitor. *)
-let minimize ~run ~monitor ~faults ~ticks =
-  match fails ~run ~monitor ~faults ~ticks with
-  | None -> None
-  | Some reason0 ->
-    let drop_one faults =
-      let rec try_at i =
-        if i >= List.length faults then None
+(* Split [items] into [n] contiguous chunks (sizes differ by at most 1). *)
+let chunks_of items n =
+  let len = List.length items in
+  let base = len / n and extra = len mod n in
+  let rec go i remaining =
+    if i >= n then []
+    else
+      let size = base + if i < extra then 1 else 0 in
+      let chunk = List.filteri (fun j _ -> j < size) remaining in
+      chunk :: go (i + 1) (List.filteri (fun j _ -> j >= size) remaining)
+  in
+  go 0 items
+
+(* ddmin: drop whole chunks of the failing list [items] (observed to fail
+   with [reason]) at granularity [n], refining to singletons until no
+   chunk can be removed.  A one-element list tries the empty list too,
+   so the result is 1-minimal: no single removal still fails.  Started
+   at [n = List.length items] this is the drop-one fixpoint — restart
+   from the first element after every successful removal.  Every kept
+   candidate was re-run and observed to fail, and removal preserves
+   order, so the result is a failing subsequence whose reason is that
+   of its own replay. *)
+let ddmin_from ~fails ~n items reason =
+  let rec go items n reason =
+    let len = List.length items in
+    if len = 0 then (items, reason)
+    else
+      let n = min n len in
+      let chunks = chunks_of items n in
+      let rec try_chunk i =
+        if i >= n then None
         else
-          let candidate = List.filteri (fun j _ -> j <> i) faults in
-          match fails ~run ~monitor ~faults:candidate ~ticks with
-          | Some reason -> Some (candidate, reason)
-          | None -> try_at (i + 1)
+          let candidate =
+            List.concat (List.filteri (fun j _ -> j <> i) chunks)
+          in
+          match fails candidate with
+          | Some reason' -> Some (candidate, reason')
+          | None -> try_chunk (i + 1)
       in
-      try_at 0
-    in
-    let rec fix faults reason =
-      match drop_one faults with
-      | Some (smaller, reason') -> fix smaller reason'
-      | None -> (faults, reason)
-    in
-    let faults, reason = fix faults reason0 in
-    (* shortest failing prefix: invariant — [hi] always fails *)
-    let rec prefix lo hi reason =
-      if hi - lo <= 1 then (hi, reason)
-      else
-        let mid = (lo + hi) / 2 in
-        match fails ~run ~monitor ~faults ~ticks:mid with
-        | Some reason' -> prefix lo mid reason'
-        | None -> prefix mid hi reason
-    in
-    let ticks, reason = prefix 0 ticks reason in
-    Some { faults; ticks; reason }
+      match try_chunk 0 with
+      | Some (smaller, reason') -> go smaller (max (n - 1) 2) reason'
+      | None -> if n >= len then (items, reason) else go items (2 * n) reason
+  in
+  go items n reason
+
+(* Shortest failing horizon prefix by bisection.  Invariant: [hi]
+   always fails, with [reason]. *)
+let shortest_prefix ~fails ticks reason =
+  let rec go lo hi reason =
+    if hi - lo <= 1 then (hi, reason)
+    else
+      let mid = (lo + hi) / 2 in
+      match fails mid with
+      | Some reason' -> go lo mid reason'
+      | None -> go mid hi reason
+  in
+  go 0 ticks reason
+
+(* ddmin over the list at the full horizon, then bisect the horizon of
+   the minimal list.  [items] is known to fail with [reason]. *)
+let shrink ~run ~monitor ~n items ~ticks reason =
+  let items, reason =
+    ddmin_from ~n items reason ~fails:(fun faults ->
+        fails ~run ~monitor ~faults ~ticks)
+  in
+  let ticks, reason =
+    shortest_prefix ticks reason ~fails:(fun ticks ->
+        fails ~run ~monitor ~faults:items ~ticks)
+  in
+  { faults = items; ticks; reason }
+
+let ddmin ~fails ops =
+  Option.map (fun reason -> ddmin_from ~fails ~n:2 ops reason) (fails ops)
+
+let minimize ~run ~monitor ~faults ~ticks =
+  Option.map
+    (fun reason ->
+      shrink ~run ~monitor ~n:(List.length faults) faults ~ticks reason)
+    (fails ~run ~monitor ~faults ~ticks)
+
+let minimize_ops ~run ~compile ~monitor ~ops ~ticks =
+  let run_ops ~faults ~ticks = run ~faults:(compile faults) ~ticks in
+  Option.map
+    (fun reason ->
+      let o = shrink ~run:run_ops ~monitor ~n:2 ops ~ticks reason in
+      (* [o.faults] was observed failing at [o.ticks] with [o.reason], so
+         the fault pass starts from that replay instead of repeating it *)
+      let faults = compile o.faults in
+      ( o.faults,
+        shrink ~run ~monitor ~n:(List.length faults) faults ~ticks:o.ticks
+          o.reason ))
+    (fails ~run:run_ops ~monitor ~faults:ops ~ticks)

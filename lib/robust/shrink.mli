@@ -1,9 +1,19 @@
-(** Shrinking of failing fault scenarios.
+(** Shrinking of failing fault scenarios and operation sequences.
 
     Minimization is generic in how a candidate (fault subset, horizon
     prefix) is executed: the caller supplies [run], typically a closure
     over a component, stimulus and monitor set.  This keeps the module
-    usable for both stimulus-level and timing-level campaigns. *)
+    usable for stimulus-level and timing-level campaigns, the proptest
+    builder and litmus certification alike.
+
+    Every entry point runs the same delta-debugging loop (ddmin): it
+    drops whole chunks of a failing list, refining the chunks until no
+    single element can be removed, then bisects the shortest failing
+    horizon prefix.  Operation sequences start with halves; fault lists
+    start with singletons, which makes the loop the drop-one fixpoint
+    (retry from the first element after every removal).  Every kept
+    candidate was re-executed and observed to fail, so a result replays
+    to a failure by construction. *)
 
 type 'a outcome = {
   faults : 'a list;  (** minimal fault subset still failing *)
@@ -11,16 +21,38 @@ type 'a outcome = {
   reason : string;   (** the failure reason of the shrunk replay *)
 }
 
+val ddmin :
+  fails:('a list -> string option) -> 'a list -> ('a list * string) option
+(** [ddmin ~fails ops] delta-debugs a sequence: [fails candidate]
+    returns [Some reason] when the candidate still exhibits the
+    failure.  Returns the 1-minimal failing subsequence of [ops] (in
+    order; removing any single element, including a lone one, passes)
+    with the reason of its replay, or [None] when [ops] itself does not
+    fail. *)
+
 val minimize :
   run:(faults:'a list -> ticks:int -> (string * Monitor.verdict) list) ->
   monitor:string ->
   faults:'a list ->
   ticks:int ->
   'a outcome option
-(** [minimize ~run ~monitor ~faults ~ticks] greedily removes faults (to
-    a fixpoint where every remaining fault is necessary), then
-    binary-searches the shortest failing prefix of the horizon.  Every
-    kept candidate was re-executed and observed to fail, so the result —
-    when [Some] — replays to a failure of [monitor] by construction.
-    Returns [None] when the full scenario does not fail [monitor].  Runs
-    O(|faults|^2 + log ticks) simulations. *)
+(** [minimize ~run ~monitor ~faults ~ticks] removes single faults to a
+    fixpoint where every remaining fault is necessary, then
+    binary-searches the shortest failing prefix of the horizon.
+    Returns [None] when the full scenario does not fail [monitor].
+    Runs O(|faults|^2 + log ticks) simulations. *)
+
+val minimize_ops :
+  run:(faults:'b list -> ticks:int -> (string * Monitor.verdict) list) ->
+  compile:('a list -> 'b list) ->
+  monitor:string ->
+  ops:'a list ->
+  ticks:int ->
+  ('a list * 'b outcome) option
+(** [minimize_ops ~run ~compile ~monitor ~ops ~ticks] shrinks a failing
+    operation sequence whose faults are [compile ops]: {!ddmin} over
+    [ops] at the full horizon, bisection of the horizon, then
+    {!minimize}'s pass over the minimal sequence's faults at that
+    horizon, which the bisection already saw fail and is not replayed.
+    Returns the minimal sequence and the fault-level outcome, or [None]
+    when [ops] does not fail [monitor]. *)

@@ -178,9 +178,3 @@ let shared_index c =
   Mutex.unlock index_lock;
   Automode_obs.Probe.count probe_key;
   ix
-
-let shared_index_size () =
-  Mutex.lock index_lock;
-  let n = Hashtbl.length index_tbl in
-  Mutex.unlock index_lock;
-  n

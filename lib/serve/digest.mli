@@ -55,7 +55,3 @@ val shared_index : Model.component -> Sim.indexed
     count reuse.  Pass as [~index] to
     {!Automode_robust.Scenario.make} so concurrent campaign jobs over
     structurally equal models compile once. *)
-
-val shared_index_size : unit -> int
-(** Number of distinct compiled nets currently interned — for tests and
-    the daemon's metrics gauge. *)

@@ -690,6 +690,202 @@ let test_sequence_shrink_deterministic () =
        ~seed:4 ~iteration:1)
 
 (* ------------------------------------------------------------------ *)
+(* The one shrinker                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference fault-list shrinker: a greedy drop-one fixpoint (retry from
+   the first fault after every removal), then a bisection of the
+   horizon.  [Shrink.minimize] must match it, outcome and run count. *)
+let drop_one_minimize ~run ~monitor ~faults ~ticks =
+  let fails ~faults ~ticks =
+    match List.assoc_opt monitor (run ~faults ~ticks) with
+    | Some (Monitor.Fail { reason; _ }) -> Some reason
+    | Some Monitor.Pass | None -> None
+  in
+  match fails ~faults ~ticks with
+  | None -> None
+  | Some reason0 ->
+    let rec drop_from i faults reason =
+      if i >= List.length faults then (faults, reason)
+      else
+        let candidate = List.filteri (fun j _ -> j <> i) faults in
+        match fails ~faults:candidate ~ticks with
+        | Some reason' -> drop_from 0 candidate reason'
+        | None -> drop_from (i + 1) faults reason
+    in
+    let faults, reason = drop_from 0 faults reason0 in
+    let rec prefix lo hi reason =
+      if hi - lo <= 1 then (hi, reason)
+      else
+        let mid = (lo + hi) / 2 in
+        match fails ~faults ~ticks:mid with
+        | Some reason' -> prefix lo mid reason'
+        | None -> prefix mid hi reason
+    in
+    let ticks, reason = prefix 0 ticks reason in
+    Some { Shrink.faults; ticks; reason }
+
+(* A random verdict over (list, horizon): [Needs] fails once every
+   needed element is present and the horizon reaches [t0] (monotone);
+   [Avoids] fails while none is present (anti-monotone in the list);
+   [Hashed] fails on a pseudo-random third of all candidates.  The
+   reason names the candidate, so a shrinker that threads the reason of
+   the wrong replay is caught. *)
+type verdict_fn =
+  | Needs of int list * int
+  | Avoids of int list * int
+  | Hashed of int
+
+let verdict_reason fn items ticks =
+  let holds =
+    match fn with
+    | Needs (need, t0) ->
+      ticks >= t0 && List.for_all (fun x -> List.mem x items) need
+    | Avoids (need, t0) ->
+      ticks >= t0 && not (List.exists (fun x -> List.mem x items) need)
+    | Hashed salt -> Hashtbl.hash (salt, items, ticks) mod 3 = 0
+  in
+  if holds then
+    Some
+      (Printf.sprintf "[%s]@%d"
+         (String.concat "," (List.map string_of_int items))
+         ticks)
+  else None
+
+let verdict_run fn calls ~faults ~ticks =
+  incr calls;
+  match verdict_reason fn faults ticks with
+  | Some reason -> [ ("m", Monitor.Fail { at_tick = 0; reason }) ]
+  | None -> [ ("m", Monitor.Pass) ]
+
+let shrink_input =
+  let elem = QCheck.Gen.int_range 0 5 in
+  QCheck.make
+    ~print:(fun (items, ticks, fn) ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      Printf.sprintf "[%s] ticks %d, %s" (ints items) ticks
+        (match fn with
+         | Needs (l, t0) -> Printf.sprintf "needs [%s] from t%d" (ints l) t0
+         | Avoids (l, t0) -> Printf.sprintf "avoids [%s] from t%d" (ints l) t0
+         | Hashed salt -> Printf.sprintf "hashed %d" salt))
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 8) elem)
+        (int_range 0 40)
+        (oneof
+           [ map2 (fun l t0 -> Needs (l, t0))
+               (list_size (int_range 0 3) elem) (int_range 0 40);
+             map2 (fun l t0 -> Avoids (l, t0))
+               (list_size (int_range 1 3) elem) (int_range 0 40);
+             map (fun salt -> Hashed salt) int ]))
+
+let test_minimize_is_drop_one =
+  QCheck.Test.make ~name:"minimize = drop-one fixpoint, run for run"
+    ~count:2000 shrink_input (fun (faults, ticks, fn) ->
+      let calls = ref 0 and oracle_calls = ref 0 in
+      let got =
+        Shrink.minimize ~run:(verdict_run fn calls) ~monitor:"m" ~faults
+          ~ticks
+      in
+      got
+      = drop_one_minimize ~run:(verdict_run fn oracle_calls) ~monitor:"m"
+          ~faults ~ticks
+      && !calls = !oracle_calls)
+
+let rec is_subsequence xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs', y :: ys' ->
+    if x = y then is_subsequence xs' ys' else is_subsequence xs ys'
+
+let test_ddmin_one_minimal =
+  QCheck.Test.make ~name:"sequence ddmin: failing, ordered, 1-minimal"
+    ~count:2000 shrink_input (fun (ops, ticks, fn) ->
+      let fails ops = verdict_reason fn ops ticks in
+      match Shrink.ddmin ~fails ops with
+      | None -> fails ops = None
+      | Some (min, reason) ->
+        fails min = Some reason
+        && is_subsequence min ops
+        && List.for_all
+             (fun i -> fails (List.filteri (fun j _ -> j <> i) min) = None)
+             (List.init (List.length min) Fun.id))
+
+(* A base fault sits under every generated sequence: a failure that
+   needs one operation but not the base fault shrinks to that operation,
+   and the fault-subset pass drops the base fault. *)
+let test_base_fault_dropped () =
+  let module Op = Automode_proptest.Op in
+  let lock value at =
+    Op.command ~flow:"T4S"
+      ~value:(Dtype.enum_value Door_lock.lock_status value)
+      ~at ()
+  in
+  let spike = Op.command ~flow:"FZG_V" ~value:(Value.Float 40.) ~at:6 () in
+  let base =
+    Fault.dropout ~flow:"T4S" (Fault.Window { from_tick = 0; until_tick = 30 })
+  in
+  let spec =
+    PB.spec ~name:"base-fault" ~component:Door_lock.component
+      ~ticks:Robustness.lock_ticks ~inputs:Robustness.lock_stimulus ()
+    |> PB.with_base_faults (fun _ -> [ base ])
+    |> PB.with_monitors
+         [ Monitor.range ~name:"v-range" ~flow:"FZG_V" ~lo:5. ~hi:32. ]
+  in
+  let ops = [ lock "Locked" 2; spike; lock "Unlocked" 9 ] in
+  let case =
+    { PB.seed = 1; iteration = 1; ops;
+      verdicts = PB.run_ops spec ~seed:1 ~ops ~ticks:(PB.ticks spec) }
+  in
+  let describe faults = String.concat "; " (List.map Fault.describe faults) in
+  checks "the base fault runs under every case"
+    (describe (base :: Op.compile spike))
+    (describe (PB.faults_of spec ~seed:1 ~ops:[ spike ]));
+  match PB.case_failures spec case with
+  | [ { PB.shrunk = Some o; _ } ] ->
+    checks "shrinks to the spike" (Op.describe spike)
+      (String.concat "; " (List.map Op.describe o.PB.shrunk_ops));
+    checks "the fault pass drops the base fault"
+      (describe (Op.compile spike))
+      (describe o.PB.shrunk_faults);
+    checki "the horizon ends at the spike" 7 o.PB.shrunk_ticks
+  | _ -> Alcotest.fail "expected one shrunk failure"
+
+(* Work gate: the shrink phase of [proptest --target unguarded --seeds 8]
+   simulates exactly this many ticks (sim.ticks with shrinking minus
+   sim.ticks without).  It was 7,215 when Builder ran its own ddmin, a
+   drop-one pass over ddmin's already 1-minimal result and a replay of
+   the bisected case before the fault pass; one shrinker needs 6,280. *)
+let test_shrink_phase_ticks () =
+  let sim_ticks ~shrink =
+    let m = Automode_obs.Metrics.create () in
+    Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m) (fun () ->
+        ignore (PB.run ~shrink Propcase.unguarded ~seeds:(List.init 8 succ)));
+    Option.value ~default:0 (Automode_obs.Metrics.value m "sim.ticks")
+  in
+  let sweep = sim_ticks ~shrink:false in
+  checki "sweep ticks" 546 sweep;
+  checki "shrink-phase ticks" 6280 (sim_ticks ~shrink:true - sweep)
+
+(* Cross-commit fixture: the reports of [proptest --target unguarded
+   --seeds 8] and [robustness --seeds 8], shrinking on, as committed
+   under suite/shrink/.  Any change to shrinking must keep these bytes
+   or re-pin them deliberately, by re-running those two commands with
+   [--out suite/shrink/<file>]. *)
+let test_shrink_fixtures () =
+  let fixture name =
+    In_channel.with_open_bin ("../suite/shrink/" ^ name) In_channel.input_all
+  in
+  let seeds = List.init 8 succ in
+  checks "proptest --target unguarded --seeds 8"
+    (fixture "proptest-unguarded-seeds8.txt")
+    (PB.to_text (PB.run Propcase.unguarded ~seeds));
+  checks "robustness --seeds 8"
+    (fixture "robustness-seeds8.txt")
+    (Report.to_text (Robustness.door_lock_campaign ~seeds ()))
+
+(* ------------------------------------------------------------------ *)
 (* Scheduler execution-time faults                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1236,6 +1432,14 @@ let () =
             test_shrink_deterministic;
           Alcotest.test_case "sequence shrink deterministic" `Quick
             test_sequence_shrink_deterministic ] );
+      ( "shrink",
+        [ Alcotest.test_case "base fault dropped" `Quick
+            test_base_fault_dropped;
+          Alcotest.test_case "shrink-phase ticks" `Quick
+            test_shrink_phase_ticks;
+          Alcotest.test_case "suite/shrink reports" `Quick
+            test_shrink_fixtures ]
+        @ qsuite [ test_minimize_is_drop_one; test_ddmin_one_minimal ] );
       ( "can-faults",
         [ Alcotest.test_case "loss 0 nominal" `Quick
             test_can_loss_zero_is_nominal;
