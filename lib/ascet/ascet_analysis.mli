@@ -42,11 +42,7 @@ val implicit_modes :
     prefix of statements that don't read flags, followed by a top-level
     [If] whose condition reads {e only} flags, with no trailing
     statements.  (Nested splits inside the branches are found by
-    re-applying the function to the branch bodies via
-    {!val:implicit_modes_of_body}.) *)
-
-val implicit_modes_of_body :
-  flags:string list -> Ascet_ast.stmt list -> mode_split option
+    re-applying the same detection to the branch bodies.) *)
 
 val count_flag_conditionals : flags:string list -> Ascet_ast.t -> int
 (** Total number of [If] statements whose condition reads at least one

@@ -9,11 +9,6 @@ type state = (string * Value.t) list
 let init (m : Ascet_ast.t) =
   List.map (fun (g : Ascet_ast.global) -> (g.g_name, g.g_init)) m.globals
 
-let read_global state name =
-  match List.assoc_opt name state with
-  | Some v -> v
-  | None -> raise Not_found
-
 let eval_expr env e =
   let msg, _ = Expr.step ~tick:0 ~env e (Expr.init_state e) in
   match msg with

@@ -22,8 +22,6 @@ type state
 (** Global message store. *)
 
 val init : Ascet_ast.t -> state
-val read_global : state -> string -> Value.t
-(** @raise Not_found on unknown globals. *)
 
 val step :
   Ascet_ast.t -> inputs:(string * Value.t) list -> t_ms:int -> state -> state

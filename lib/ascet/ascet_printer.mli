@@ -4,6 +4,5 @@
 val pp_expr : Format.formatter -> Automode_core.Expr.t -> unit
 (** ASCET surface syntax of the memoryless expression fragment. *)
 
-val pp_stmt : indent:int -> Format.formatter -> Ascet_ast.stmt -> unit
 val pp : Format.formatter -> Ascet_ast.t -> unit
 val to_string : Ascet_ast.t -> string

@@ -12,13 +12,11 @@ open Automode_la
 val ccd : Ccd.t
 val component : Model.component
 
-val two_ecu_ta : Ta.t
-(** A two-ECU, one-CAN-bus Technical Architecture matching the CCD rates
-    (10 ms / 100 ms tasks). *)
-
 val deployment : Deploy.t
-(** The CCD deployed onto {!two_ecu_ta}: fast clusters on [ecu_engine],
-    slow clusters on [ecu_body], cross signals mapped to CAN frames. *)
+(** The CCD deployed onto a two-ECU, one-CAN-bus Technical Architecture
+    matching the CCD rates (10 ms / 100 ms tasks): fast clusters on
+    [ecu_engine], slow clusters on [ecu_body], cross signals mapped to
+    CAN frames. *)
 
 val demo_trace : ?ticks:int -> unit -> Trace.t
 (** Simulate the CCD as a component on a pedal/speed profile. *)

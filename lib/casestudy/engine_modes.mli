@@ -12,12 +12,9 @@ val mtd : Model.mtd
 val component : Model.component
 val mode_type : Dtype.t
 
-val drive_cycle : Sim.input_fn
-(** A start / rev-up / cruise / overrun / stop profile for [n] and
-    [pedal]. *)
-
 val demo_trace : ?ticks:int -> unit -> Trace.t
-(** Simulate the MTD (with its mode output port) over {!drive_cycle}. *)
+(** Simulate the MTD (with its mode output port) over a start / rev-up /
+    cruise / overrun / stop profile for [n] and [pedal]. *)
 
 val global_mode_system : Model.mtd
 (** The product of the engine MTD with the throttle MTD of {!Throttle} —

@@ -134,12 +134,7 @@ let door_lock_comparison ?shrink ?domains ~seeds () =
     guarded = Scenario.sweep ?shrink ?domains guarded_scenario ~seeds }
 
 let pp_comparison ppf { unguarded; guarded } =
-  let count c =
-    List.length
-      (List.sort_uniq Int.compare
-         (List.map (fun (f : Scenario.failure) -> f.Scenario.fail_seed)
-            c.Scenario.failures))
-  in
+  let count c = List.length (Scenario.failing_seeds c) in
   let total c = List.length c.Scenario.seeds in
   Format.fprintf ppf "%-20s %d/%d seeds failing@." unguarded.Scenario.scenario
     (count unguarded) (total unguarded);

@@ -10,17 +10,8 @@
 
 open Automode_core
 open Automode_robust
-open Automode_guard
 
 (** {1 Guarded door lock} *)
-
-val voltage_cfg : Health.config
-(** FZG_V qualification: suspect after 2 missed ticks (one nominal gap
-    stays silent), timeout after 8, implausible outside 5..32 V enters
-    [Invalid] immediately, hold-last substitution, 24 V startup. *)
-
-val protected_lock : Model.component
-(** {!Door_lock.component} with FZG_V behind a {!Health} qualifier. *)
 
 val manager : Model.component
 (** Limp-home manager on the voltage health flag (limp after 6
@@ -76,10 +67,6 @@ val recovery_campaign :
   ?shrink:bool -> ?domains:int -> seeds:int list -> unit -> Scenario.campaign
 
 (** {1 Guarded engine deployment} *)
-
-val engine_profile : E2e.profile
-(** Data ID 0x2A, 4-bit alive counter, 8-bit CRC — 20 overhead bits,
-    3 bytes on the wire. *)
 
 val guarded_engine_injection :
   ?loss_rate:float -> ?burst_rate:float -> ?burst_len:int ->

@@ -368,11 +368,6 @@ let campaign ?(shrink = true) ?domains ?horizon ~seeds () =
     dual = channel_campaign ?horizon ~dual:true ~seeds ();
     single = channel_campaign ?horizon ~dual:false ~seeds () }
 
-let failing_seeds (c : Scenario.campaign) =
-  List.sort_uniq Int.compare
-    (List.map (fun (f : Scenario.failure) -> f.Scenario.fail_seed)
-       c.Scenario.failures)
-
 let net_failing results =
   List.filter
     (fun (_, verdicts) -> List.exists (fun (_, v) -> Monitor.is_fail v) verdicts)
@@ -381,7 +376,7 @@ let net_failing results =
 let pp_report ppf r =
   let model ppf (c : Scenario.campaign) =
     Format.fprintf ppf "%-20s %d/%d seeds failing@." c.Scenario.scenario
-      (List.length (failing_seeds c))
+      (List.length (Scenario.failing_seeds c))
       (List.length c.Scenario.seeds)
   in
   let net name ppf results =
@@ -422,6 +417,6 @@ let gate r =
 
 let contrast_fails r =
   let all_fail (c : Scenario.campaign) =
-    List.length (failing_seeds c) = List.length c.Scenario.seeds
+    List.length (Scenario.failing_seeds c) = List.length c.Scenario.seeds
   in
   all_fail r.simplex && all_fail r.tmr_simplex && net_failing r.single <> []

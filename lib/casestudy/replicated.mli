@@ -27,10 +27,6 @@ open Automode_robust
 val timeout_ticks : int
 (** Heartbeat timeout of the failover manager (3 ticks). *)
 
-val gap_bound : int
-(** Maximum tolerated consecutive-absent gap on the fuel stream, in
-    ticks — the bounded-recovery assertion ([timeout_ticks]). *)
-
 val repl_ticks : int
 (** Horizon of the model-level scenarios, in base ticks. *)
 
@@ -49,9 +45,6 @@ val replicated : Model.component
 
 (** {1 Scenarios} *)
 
-val crash_site : int -> int * bool
-(** Deterministic per-seed crash plan: (crash tick, primary?). *)
-
 val replicated_scenario : Scenario.t
 val simplex_scenario : Scenario.t
 (** Single-ECU-crash campaigns over the same seeded crash plan. *)
@@ -67,16 +60,10 @@ val tmr_simplex_scenario : Scenario.t
 
 (** {1 TA-level channel-loss leg} *)
 
-val redundant_ta : Ta.t
-(** Four-ECU technical architecture hosting the replicated engine
-    controller (main + two replica ECUs + body). *)
-
-val base_deployment : Deploy.t
-(** The engine CCD on {!redundant_ta}, unreplicated. *)
-
 val replicated_deployment : Deploy.t
-(** {!base_deployment} with the [FuelInjection] cluster replicated as a
-    hot-standby pair via {!Automode_redund.Replicate.deploy}. *)
+(** The engine CCD on a four-ECU technical architecture (main + two
+    replica ECUs + body), with the [FuelInjection] cluster replicated as
+    a hot-standby pair via {!Automode_redund.Replicate.deploy}. *)
 
 val tt_schedule : dual:bool -> Automode_osek.Tt_bus.schedule
 (** The static slot schedule of the replica streams and heartbeats, on

@@ -290,9 +290,3 @@ let component_to_c (comp : Model.component) =
        comp.comp_name);
   behavior_to_c buf comp.comp_name comp.comp_ports comp.comp_behavior;
   Buffer.contents buf
-
-let network_step_order (net : Model.network) =
-  match Causality.evaluation_order net with
-  | Ok order -> order
-  | Error _ ->
-    List.map (fun (c : Model.component) -> c.comp_name) net.net_components

@@ -15,27 +15,9 @@ open Automode_core
 
 exception Codegen_error of string
 
-val c_type : Dtype.t option -> string
-(** ["float64"], ["int32"], ["bool8"], enum type name, or ["float64"]
-    for dynamically typed ports. *)
-
-val expr_to_c :
-  state_prefix:string -> Expr.t -> string * string list * string list
-(** [expr_to_c ~state_prefix e] is [(c_expression, static_decls,
-    post_statements)]: the C expression computing [e]'s value this
-    activation, the [static] declarations for its [pre]/[current]
-    registers (names are prefixed), and the statements updating those
-    registers after the expression has been evaluated.
-    @raise Codegen_error on [Is_present] (presence is a scheduling
-    concept with no OA representation). *)
-
 val component_to_c : Model.component -> string
 (** A C translation unit for one atomic component: a step function per
     output for [B_exprs], a state enum + switch for [B_std], a mode
     enum + transition/dispatch switch for [B_mtd].  Composite components
     (DFD/SSD) emit one function calling the sub-steps in causal order.
     @raise Codegen_error on unspecified behaviors. *)
-
-val network_step_order : Model.network -> string list
-(** The causal call order used for composite components (re-exported
-    from {!Causality} for the project generator). *)

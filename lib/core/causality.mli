@@ -15,10 +15,6 @@
 type loop = string list
 (** An instantaneous loop, as the cycle's component names. *)
 
-val instantaneous_edges : Model.network -> (string * string) list
-(** Directed edges [src_comp -> dst_comp] induced by undelayed channels
-    between sub-components (boundary-touching channels induce none). *)
-
 val check : Model.network -> (unit, loop list) result
 (** [Ok ()] when the instantaneous dependency graph is acyclic; otherwise
     every strongly connected component with a cycle, smallest first. *)

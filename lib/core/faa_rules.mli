@@ -27,42 +27,24 @@ val actuator_conflict : rule
 (** Two distinct vehicle functions drive the same actuator resource.
     Countermeasure: introduce a coordinating functionality. *)
 
-val shared_sensor : rule
-(** [`Info]: several functions read the same sensor (fan-out is fine but
-    worth knowing for the communication matrix). *)
-
-val unspecified_behavior : rule
-(** [`Warning] on FAA (prototypical behavior missing, simulation will be
-    silent); [`Conflict] on FDA, which must be behaviorally complete. *)
-
-val dangling_channels : rule
-(** Channels with unresolvable endpoints anywhere in the hierarchy. *)
-
-val unconnected_functions : rule
-(** [`Warning]: top-level functions with no connected ports at all —
-    likely an integration oversight. *)
-
-val prototype_actuator : rule
-(** [`Warning]: an actuator resource is driven by a component whose
-    behavior is still unspecified — fine for early FAA integration, but
-    the conflict analysis cannot judge the command policy yet. *)
-
-val non_harmonic_channel : rule
-(** [`Warning]: a top-level channel connects ports whose periodic clocks
-    are not harmonic (neither divides the other): the refinement to the
-    LA level will need an explicit rate adapter. *)
-
-val undelayed_faa_feedback : rule
-(** [`Warning]: a DFD used directly at FAA level with a feedback loop
-    (FAA integration should compose functions with SSDs, whose delays
-    make integration order-insensitive). *)
-
-val default_rules : (string * rule) list
-(** All rules above, keyed by their identifier. *)
-
 val run : ?rules:(string * rule) list -> Model.model -> finding list
-(** Apply the rules (default {!default_rules}); findings are ordered by
-    severity ([`Conflict] first). *)
+(** Apply the rules; findings are ordered by severity ([`Conflict]
+    first).  The default rule set, keyed by identifier:
+    - [actuator-conflict]: {!actuator_conflict};
+    - [shared-sensor] ([`Info]): several functions read one sensor;
+    - [unspecified-behavior]: a [`Warning] on FAA, where prototypical
+      behavior may be missing, a [`Conflict] on FDA, which must be
+      behaviorally complete;
+    - [dangling-channel]: channels with unresolvable endpoints anywhere
+      in the hierarchy;
+    - [unconnected-function] ([`Warning]): top-level functions with no
+      connected port;
+    - [prototype-actuator] ([`Warning]): an actuator driven by a
+      component whose behavior is still unspecified;
+    - [non-harmonic-channel] ([`Warning]): a top-level channel between
+      periodic clocks neither of which divides the other;
+    - [faa-feedback] ([`Warning]): a DFD used directly at FAA level
+      with a feedback loop. *)
 
 val summary : finding list -> string
 (** One-line count summary, e.g. ["2 conflicts, 1 warning, 3 infos"]. *)

@@ -16,10 +16,6 @@ val v : string -> t
 (** [v seg] is the single-segment identifier [seg].
     @raise Invalid if [seg] is empty or contains ['.'] or whitespace. *)
 
-val of_path : string list -> t
-(** [of_path segs] builds an identifier from explicit segments.
-    @raise Invalid if [segs] is empty or any segment is malformed. *)
-
 val of_string : string -> t
 (** [of_string s] parses a dot-separated path.
     @raise Invalid on empty or malformed input. *)

@@ -7,8 +7,6 @@ let level_name = function
   | Ta -> "TA"
   | Oa -> "OA"
 
-let pp_level ppf level = Format.pp_print_string ppf (level_name level)
-
 type port_dir = In | Out
 
 type port = {
@@ -128,30 +126,6 @@ let behavior_kind = function
   | B_dfd _ -> "dfd"
   | B_ssd _ -> "ssd"
   | B_unspecified -> "unspecified"
-
-let rec map_network f comp =
-  let map_net net =
-    let components = List.map (map_network f) net.net_components in
-    f { net with net_components = components }
-  in
-  let behavior =
-    match comp.comp_behavior with
-    | B_dfd net -> B_dfd (map_net net)
-    | B_ssd net -> B_ssd (map_net net)
-    | B_mtd mtd ->
-      let map_mode mode =
-        let behavior =
-          match mode.mode_behavior with
-          | B_dfd net -> B_dfd (map_net net)
-          | B_ssd net -> B_ssd (map_net net)
-          | (B_exprs _ | B_std _ | B_mtd _ | B_unspecified) as b -> b
-        in
-        { mode with mode_behavior = behavior }
-      in
-      B_mtd { mtd with mtd_modes = List.map map_mode mtd.mtd_modes }
-    | (B_exprs _ | B_std _ | B_unspecified) as b -> b
-  in
-  { comp with comp_behavior = behavior }
 
 let iter_components f comp =
   let rec go path comp =

@@ -19,7 +19,6 @@
 type level = Faa | Fda | La | Ta | Oa
 
 val level_name : level -> string
-val pp_level : Format.formatter -> level -> unit
 
 type port_dir = In | Out
 
@@ -142,10 +141,6 @@ val find_component : network -> string -> component option
 
 val behavior_kind : behavior -> string
 (** ["exprs" | "std" | "mtd" | "dfd" | "ssd" | "unspecified"]. *)
-
-val map_network : (network -> network) -> component -> component
-(** Apply a network rewriting function to all networks of a component,
-    bottom-up (sub-networks first, including those inside MTD modes). *)
 
 val iter_components : (string list -> component -> unit) -> component -> unit
 (** Depth-first visit of all components with their hierarchical path

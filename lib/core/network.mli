@@ -39,10 +39,6 @@ val resolve_port :
   Model.port option
 (** The port a well-formed endpoint denotes. *)
 
-val driver_of :
-  Model.network -> Model.endpoint -> Model.channel option
-(** The channel driving the given destination endpoint, if any. *)
-
 val flatten : prefix_sep:string -> Model.network -> Model.network
 (** Inline every sub-component that is itself defined by a network of the
     same kind, one level at a time until fixpoint.  Inner component names

@@ -7,15 +7,6 @@ type condition =
   | Fand of condition * condition
   | For of condition * condition
 
-let rec pp_condition ppf = function
-  | Ftrue -> Format.pp_print_string ppf "true"
-  | Fvar f -> Format.pp_print_string ppf f
-  | Fnot c -> Format.fprintf ppf "(not %a)" pp_condition c
-  | Fand (a, b) ->
-    Format.fprintf ppf "(%a and %a)" pp_condition a pp_condition b
-  | For (a, b) ->
-    Format.fprintf ppf "(%a or %a)" pp_condition a pp_condition b
-
 let rec eval assignment = function
   | Ftrue -> true
   | Fvar f -> (match List.assoc_opt f assignment with Some b -> b | None -> false)

@@ -21,8 +21,6 @@ type condition =
   | Fand of condition * condition
   | For of condition * condition
 
-val pp_condition : Format.formatter -> condition -> unit
-
 val eval : (feature * bool) list -> condition -> bool
 (** Unassigned features count as disabled. *)
 
@@ -53,9 +51,6 @@ val configure : t -> assignment:(feature * bool) list -> Model.model
 (** The variant for one feature assignment: disabled components and
     their channels are removed from the root network.
     @raise Not_variant_model when the root has no network behavior. *)
-
-val all_assignments : feature list -> (feature * bool) list list
-(** All 2^n assignments (use only for small feature sets). *)
 
 val configurations : t -> (string * Model.model) list
 (** Every variant of the family, keyed by a readable assignment label

@@ -24,12 +24,6 @@ val mode_type : Dtype.t
 
 val mode_value : string -> Value.t
 
-val debounce_std :
-  limp_after:int -> recover_after:int -> health_inputs:string list ->
-  Model.std
-(** The companion debounce machine: conjunction of the health flags in,
-    [ok_d]/[limp] out. *)
-
 val manager :
   ?name:string -> ?limp_after:int -> ?recover_after:int ->
   health_inputs:string list -> unit -> Model.component

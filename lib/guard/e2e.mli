@@ -26,15 +26,9 @@ val profile : ?counter_bits:int -> ?crc_bits:int -> data_id:int -> unit -> profi
 val overhead_bits : profile -> int
 (** Protection overhead per instance: 8 data-ID bits + counter + CRC. *)
 
-val alive_modulus : profile -> int
-(** [2 ^ counter_bits]: the alive counter counts modulo this. *)
-
 val max_detectable_gap : profile -> int
 (** [alive_modulus - 1]: the longest run of consecutively lost instances
     the alive counter still detects; a longer run wraps the counter. *)
-
-val crc : profile -> counter:int -> Value.t -> int
-(** Deterministic checksum over (data id, counter, payload). *)
 
 val wrap : profile -> counter:int -> Value.t -> Value.t
 (** The protected payload

@@ -62,11 +62,6 @@ val config :
     @raise Invalid_argument on non-positive thresholds,
     [timeout_after <= suspect_after], or an empty range. *)
 
-val qualifier_std : config -> Model.std
-(** The qualification state machine over input port [raw] and output
-    ports [out] (qualified samples), [ok] (health flag, every tick) and
-    [status] ({!status_type}, every tick). *)
-
 val qualifier :
   ?name:string -> ?ty:Dtype.t -> ?clock:Clock.t -> config -> Model.component
 (** The machine packaged as a component (default name ["Qualifier"];

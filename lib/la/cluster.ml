@@ -13,30 +13,6 @@ let make ?(impl_types = []) ~name ~ports ~body () =
 let to_component c =
   Model.component c.cluster_name ~ports:c.ports ~behavior:(Model.B_dfd c.body)
 
-let of_component ?(impl_types = []) (comp : Model.component) =
-  match comp.comp_behavior with
-  | Model.B_dfd body | Model.B_ssd body ->
-    let untyped =
-      List.filter
-        (fun (p : Model.port) -> p.port_type = None)
-        comp.comp_ports
-    in
-    if untyped <> [] then
-      Error
-        (Printf.sprintf "cluster %s: untyped ports %s" comp.comp_name
-           (String.concat ", "
-              (List.map (fun (p : Model.port) -> p.port_name) untyped)))
-    else
-      Ok
-        { cluster_name = comp.comp_name;
-          ports = comp.comp_ports;
-          body;
-          impl_types }
-  | Model.B_exprs _ | Model.B_std _ | Model.B_mtd _ | Model.B_unspecified ->
-    Error
-      (Printf.sprintf "cluster %s: behavior must be a network"
-         comp.comp_name)
-
 let rec expr_cost : Expr.t -> int = function
   | Expr.Const _ | Expr.Var _ | Expr.Is_present _ -> 1
   | Expr.Unop (_, e) | Expr.When (e, _) | Expr.Pre (_, e) | Expr.Current (_, e)

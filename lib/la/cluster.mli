@@ -24,12 +24,6 @@ val make :
 val to_component : t -> Model.component
 (** View the cluster as a DFD-behavior component (for simulation). *)
 
-val of_component :
-  ?impl_types:(string * Impl_type.t) list -> Model.component ->
-  (t, string) result
-(** Clusters require a network behavior (DFD or SSD body) and fully
-    typed ports. *)
-
 val check : t -> string list
 (** LA well-formedness: statically typed ports, periodic port clocks
     (explicit frequencies), implementation types refine the declared

@@ -20,10 +20,6 @@ type violation = {
   v_reason : string;
 }
 
-let pp_violation ppf v =
-  Format.fprintf ppf "channel %s: %s (src %dus, dst %dus)"
-    v.v_channel.Model.ch_name v.v_reason v.v_src_period v.v_dst_period
-
 let check ~target ccd =
   List.filter_map
     (fun (ch, src_p, dst_p) ->

@@ -34,8 +34,6 @@ type violation = {
   v_reason : string;
 }
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val check : target:target -> Ccd.t -> violation list
 (** All channels violating the target's delay conditions.  Channels
     whose end periods are unknown (boundary or aperiodic) are skipped. *)

@@ -172,10 +172,11 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
         List.map (fun (check, d) -> (c.Eval.canon, check, d)) c.Eval.violations)
       unique
   in
-  (* Minimal survivors: no proper atom subset survives.  Subsets are
-     always enumerated before their supersets, so under the cap a
-     missing subset means the table is optimistic — the ddmin
-     certification below drops any pin that still shrinks. *)
+  (* Minimal survivors: no proper atom subset survives.  The space is
+     enumerated by size and the cap keeps a prefix of it, so every
+     proper subset of an evaluated scenario was evaluated too: the
+     check below is exact, and a pin is 1-minimal without re-running
+     it. *)
   let minimal_candidates =
     List.filter
       (fun (s, c) ->
@@ -188,41 +189,25 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
              (proper_subset_canons (Space.atoms s)))
       unique
   in
-  let certified_minimal ops =
-    if not config.shrink then true
-    else
-      let fails candidate =
-        if candidate = [] then None
-        else
-          let cls = Eval.evaluate_ops twin ~nominal ~canon:"probe" candidate in
-          if Eval.survivor cls then Some (String.concat "," cls.Eval.tags)
-          else None
-      in
-      match Shrink.ddmin ~fails ops with
-      | Some (ops', _) -> List.length ops' = List.length ops
-      | None -> true
-  in
+  (* the classification holds the unguarded twin's failure reason, so
+     the pin's horizon shrinks without replaying the full scenario *)
   let min_ticks_of s cls =
     if not config.shrink then horizon
     else
       match cls.Eval.unguarded_failures with
       | [] -> horizon
-      | (monitor, _, _) :: _ ->
+      | (monitor, _, reason) :: _ ->
         let faults =
           Builder.faults_of twin.Eval.unguarded ~seed:0 ~ops:(Space.ops s)
         in
-        (match
-           Shrink.minimize
-             ~run:(fun ~faults ~ticks ->
-               Builder.run_faults twin.Eval.unguarded ~faults ~ticks)
-             ~monitor ~faults ~ticks:horizon
-         with
-         | Some o -> o.Shrink.ticks
-         | None -> horizon)
+        (Shrink.minimize_faults
+           ~run:(fun ~faults ~ticks ->
+             Builder.run_faults twin.Eval.unguarded ~faults ~ticks)
+           ~monitor ~faults ~ticks:horizon ~reason)
+          .Shrink.ticks
   in
   let minimal =
     minimal_candidates
-    |> List.filter (fun (s, _) -> certified_minimal (Space.ops s))
     |> List.mapi (fun i (s, cls) ->
            { pin_id = Printf.sprintf "L%03d" (i + 1);
              pin_atoms = List.map fst (Space.atoms s);

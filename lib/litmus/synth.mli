@@ -10,9 +10,10 @@
     hash (first occurrence in enumeration order wins, TransForm's
     new-hash/total bookkeeping), keep the survivors (distinguishing or
     bound-violating), prune them to the minimal ones (no proper atom
-    subset survives), and certify each minimal scenario with the
-    sequence-level {!Automode_robust.Shrink.ddmin} plus a
-    {!Automode_robust.Shrink.minimize} horizon pin.  Everything
+    subset survives — exact, because the size-ordered enumeration and a
+    prefix cap evaluate every subset of an evaluated scenario), and pin
+    each minimal scenario's shortest failing horizon with
+    {!Automode_robust.Shrink.minimize_faults}.  Everything
     downstream of (twin, alphabet, config) is pure, so the report is
     byte-identical across reruns, engines, domain counts and cache
     states. *)
@@ -30,7 +31,7 @@ type cache = {
 type config = {
   bound : int;           (** max atoms per scenario (k) *)
   max_scenarios : int;   (** evaluation cap, truncation is reported *)
-  shrink : bool;         (** certify minimality / pin horizons *)
+  shrink : bool;         (** pin shortest failing horizons *)
 }
 
 val default_config : config

@@ -26,10 +26,6 @@ val tx_time : config -> frame -> int
     worst-case frame length [(34 + 8n)/5] stuff bits + [47 + 8n] bits
     for an [n]-byte payload. *)
 
-val error_overhead : config -> int
-(** Time in us wasted by one error frame + interframe space (23 bits
-    worst case) before a retransmission can start. *)
-
 type bus_off = {
   error_inc : int;    (** TEC bump per error frame (CAN: 8) *)
   success_dec : int;  (** TEC decay per completed transmission (CAN: 1) *)
@@ -110,8 +106,9 @@ val simulate :
 
     [?faults] injects a deterministic loss model: each transmission is
     corrupted with probability [loss_rate] (seeded per id/instant/attempt);
-    a corrupted slot costs the transmission time plus {!error_overhead}
-    and the instance retransmits, up to [max_retransmits] attempts.
+    a corrupted slot costs the transmission time plus one error frame
+    and interframe space (23 bits worst case), and the instance
+    retransmits, up to [max_retransmits] attempts.
     [?background] adds frames that arbitrate and consume bus time (they
     raise [load]) but are excluded from [per_frame].  Omitting both
     reproduces today's fault-free behavior exactly.

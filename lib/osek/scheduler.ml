@@ -155,9 +155,11 @@ let pick_job ready =
         | first :: rest -> Some (List.fold_left best first rest)
         | [] -> None))
 
-let simulate ?exec ?watchdog ~horizon tasks =
-  validate tasks;
-  if horizon <= 0 then invalid_arg "Scheduler.simulate: horizon must be positive";
+(* The event-driven scheduling loop behind [simulate] and [timeline]:
+   it reports every CPU slice to [on_slice owner start stop], where
+   [owner] is the running task's name or ["idle"] for a gap up to the
+   next release (or the horizon). *)
+let run ?exec ?watchdog ~horizon ~on_slice tasks =
   let stats = Hashtbl.create 16 in
   List.iter
     (fun (t : Osek_task.t) -> Hashtbl.replace stats t.task_name empty_stats)
@@ -244,14 +246,22 @@ let simulate ?exec ?watchdog ~horizon tasks =
        | _ -> ());
       match running with
       | None ->
+        (* pending releases all lie below the horizon *)
         let nr = next_release_instant () in
-        if nr = max_int || nr >= horizon then (busy, ready)
-        else loop nr ready busy None
+        if nr = max_int then begin
+          on_slice "idle" now horizon;
+          (busy, ready)
+        end
+        else begin
+          on_slice "idle" now nr;
+          loop nr ready busy None
+        end
       | Some job ->
         job.started <- true;
         let nr = next_release_instant () in
         let finish = now + job.remaining in
         let until = Stdlib.min finish (Stdlib.min nr horizon) in
+        on_slice job.j_task.Osek_task.task_name now until;
         let ran = until - now in
         job.remaining <- job.remaining - ran;
         let busy = busy + ran in
@@ -315,12 +325,10 @@ let simulate ?exec ?watchdog ~horizon tasks =
     schedulable =
       List.for_all (fun (_, s) -> s.deadline_misses = 0) per_task }
 
-let average_response result name =
-  match List.assoc_opt name result.per_task with
-  | None -> None
-  | Some s ->
-    if s.completions = 0 then None
-    else Some (float_of_int s.total_response /. float_of_int s.completions)
+let simulate ?exec ?watchdog ~horizon tasks =
+  validate tasks;
+  if horizon <= 0 then invalid_arg "Scheduler.simulate: horizon must be positive";
+  run ?exec ?watchdog ~horizon ~on_slice:(fun _ _ _ -> ()) tasks
 
 let response_time_analysis tasks =
   let higher_priority (t : Osek_task.t) =
@@ -349,66 +357,14 @@ let response_time_analysis tasks =
 
 type segment = { seg_task : string; seg_start : int; seg_end : int }
 
-(* Re-run the event-driven simulation, recording who owns the CPU.  Kept
-   separate from [simulate] so the hot path carries no tracing cost. *)
 let timeline ~horizon tasks =
   validate tasks;
-  let releases = Hashtbl.create 16 in
-  let next_release = Hashtbl.create 16 in
-  List.iter
-    (fun (t : Osek_task.t) ->
-      Hashtbl.replace releases t.task_name
-        (Array.of_list (Osek_task.release_times t ~horizon));
-      Hashtbl.replace next_release t.task_name 0)
-    tasks;
-  let release_time (t : Osek_task.t) k =
-    let rs = Hashtbl.find releases t.task_name in
-    if k < Array.length rs then rs.(k) else max_int
-  in
-  let next_release_instant () =
-    List.fold_left
-      (fun acc (t : Osek_task.t) ->
-        let k = Hashtbl.find next_release t.task_name in
-        let r = release_time t k in
-        if r < horizon then Stdlib.min acc r else acc)
-      max_int tasks
-  in
-  let release_jobs now ready =
-    List.fold_left
-      (fun ready (t : Osek_task.t) ->
-        let k = Hashtbl.find next_release t.task_name in
-        if release_time t k = now then begin
-          Hashtbl.replace next_release t.task_name (k + 1);
-          { j_task = t; release = now; remaining = t.wcet; started = false;
-            wd = Wd_nominal }
-          :: ready
-        end
-        else ready)
-      ready tasks
-  in
   let segments = ref [] in
-  let emit task s e = if e > s then segments := { seg_task = task; seg_start = s; seg_end = e } :: !segments in
-  let rec loop now ready =
-    if now >= horizon then ()
-    else
-      let ready = release_jobs now ready in
-      match pick_job ready with
-      | None ->
-        let nr = next_release_instant () in
-        let until = Stdlib.min (if nr = max_int then horizon else nr) horizon in
-        emit "idle" now until;
-        if until < horizon then loop until ready
-      | Some job ->
-        job.started <- true;
-        let nr = next_release_instant () in
-        let finish = now + job.remaining in
-        let until = Stdlib.min finish (Stdlib.min nr horizon) in
-        emit job.j_task.Osek_task.task_name now until;
-        job.remaining <- job.remaining - (until - now);
-        let ready = if job.remaining = 0 then List.filter (fun j -> j != job) ready else ready in
-        loop until ready
+  let on_slice task s e =
+    if e > s then
+      segments := { seg_task = task; seg_start = s; seg_end = e } :: !segments
   in
-  loop 0 [];
+  ignore (run ~horizon ~on_slice tasks);
   (* merge adjacent segments of the same task *)
   let rec merge = function
     | a :: b :: rest when String.equal a.seg_task b.seg_task

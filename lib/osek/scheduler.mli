@@ -71,9 +71,6 @@ val simulate :
     @raise Invalid_argument on duplicate task names or duplicate
     priorities (OSEK requires unique priorities per ECU). *)
 
-val average_response : result -> string -> float option
-(** Mean response time of a task's completed jobs. *)
-
 val response_time_analysis : Osek_task.t list -> (string * int option) list
 (** Classic worst-case response-time analysis for preemptable,
     offset-free task sets: the least fixed point of

@@ -16,9 +16,6 @@
 
 type channel = A | B
 
-val channel_name : channel -> string
-(** ["A"] / ["B"]. *)
-
 type slot = {
   tt_frame : string;          (** frame transmitted in this slot *)
   slot_index : int;           (** 0-based position inside the cycle *)
@@ -40,22 +37,15 @@ type schedule = {
   slots : slot list;
 }
 
-val tx_time_us : bitrate:int -> payload_bytes:int -> int
-(** Wire time of one static frame: 5-byte header + payload + 3-byte
-    trailer, with 25% byte-encoding overhead (TSS/BSS/FES), rounded
-    up. *)
-
 val schedule :
   ?bitrate:int -> slots_per_cycle:int -> slot_us:int -> slot list ->
   schedule
 (** Default bitrate: 10 Mbit/s per channel.
     @raise Invalid_argument on duplicate frame names, slot indices not
     below [slots_per_cycle], two slots sharing an index on the same
-    channel, or a [slot_us] shorter than the longest slot's
-    {!tx_time_us}. *)
-
-val cycle_us : schedule -> int
-(** [slots_per_cycle * slot_us]. *)
+    channel, or a [slot_us] shorter than the longest slot's wire time
+    (5-byte header + payload + 3-byte trailer, with 25% byte-encoding
+    overhead, rounded up). *)
 
 val utilization : schedule -> channel -> float
 (** Fraction of the cycle's slots occupied on the channel. *)
@@ -73,8 +63,6 @@ val chan_faults :
 (** Defaults: no loss, no outages.
     @raise Invalid_argument on rates outside [0, 1] or windows with
     [until < from] or negative bounds. *)
-
-val channel_dead : chan_faults -> at:int -> bool
 
 type fault_model = {
   tt_seed : int;

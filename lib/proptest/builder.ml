@@ -180,26 +180,30 @@ let run_case t ~seed ~iteration =
 let ddmin_ops = Shrink.ddmin
 
 (* The op-level replay of a case is the fault-level replay of its
-   compiled faults, so one runner serves both passes of the shrinker. *)
-let shrink_case t ~seed ~mon ~ops =
-  Shrink.minimize_ops
-    ~run:(fun ~faults ~ticks -> run_faults t ~faults ~ticks)
-    ~compile:(fun ops -> faults_of t ~seed ~ops)
-    ~monitor:mon ~ops ~ticks:t.spec_ticks
-  |> Option.map (fun (shrunk_ops, (o : Fault.t Shrink.outcome)) ->
-         { shrunk_ops;
-           shrunk_faults = o.faults;
-           shrunk_ticks = o.ticks;
-           shrunk_reason = o.reason })
+   compiled faults, so one runner serves both passes of the shrinker.
+   The case's verdict supplies the failure reason: the full case is not
+   replayed. *)
+let shrink_case t ~seed ~mon ~ops ~reason =
+  let shrunk_ops, (o : Fault.t Shrink.outcome) =
+    Shrink.minimize_ops
+      ~run:(fun ~faults ~ticks -> run_faults t ~faults ~ticks)
+      ~compile:(fun ops -> faults_of t ~seed ~ops)
+      ~monitor:mon ~ops ~ticks:t.spec_ticks ~reason
+  in
+  { shrunk_ops;
+    shrunk_faults = o.faults;
+    shrunk_ticks = o.ticks;
+    shrunk_reason = o.reason }
 
 let case_failures ?(shrink = true) t case =
   List.filter_map
     (fun (mon, v) ->
-      if not (Monitor.is_fail v) then None
-      else
+      match v with
+      | Monitor.Pass -> None
+      | Monitor.Fail { reason; _ } ->
         let shrunk =
           if shrink then
-            shrink_case t ~seed:case.seed ~mon ~ops:case.ops
+            Some (shrink_case t ~seed:case.seed ~mon ~ops:case.ops ~reason)
           else None
         in
         Some

@@ -14,13 +14,6 @@ open Automode_robust
 type rand
 (** Deterministic PRNG handle passed to draw functions. *)
 
-val draw_int : rand -> int -> int
-(** Uniform in [[0, n)].  @raise Invalid_argument on [n < 1]. *)
-
-val draw_pick : rand -> 'a list -> 'a
-(** Uniform element of a non-empty list.
-    @raise Invalid_argument on an empty list. *)
-
 type t
 (** One weighted operation generator. *)
 

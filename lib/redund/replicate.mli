@@ -15,15 +15,6 @@
 
 open Automode_la
 
-val replica_name : string -> int -> string
-(** [replica_name c k] = [<c>_r<k>], [k] counted from 1. *)
-
-val voter_name : string -> string
-(** [<c>_voter]. *)
-
-val agree_port : string -> string
-(** [<port>_agree]. *)
-
 val voter_input_channel : cluster:string -> port:string -> int -> string
 (** [<cluster>_<port>_v<k>] — the channel carrying replica [k]'s copy of
     [port] to the voter (the inter-ECU signal generated communication

@@ -11,12 +11,12 @@ type t = {
   monitors : Monitor.t list;
 }
 
-let make ?(schedule = fun _ -> Clock.no_events) ?(index = Sim.index) ~name
-    ~component ~ticks ~inputs ~faults ~monitors () =
+let make ?(schedule = fun _ -> Clock.no_events) ~name ~component ~ticks
+    ~inputs ~faults ~monitors () =
   if ticks < 0 then invalid_arg "Scenario.make: negative horizon";
   { scn_name = name;
     component;
-    indexed = lazy (index component);
+    indexed = lazy (Sim.index component);
     ticks;
     inputs;
     faults_of_seed = faults;
@@ -65,15 +65,19 @@ let run_seed s ~seed =
   let injected = s.faults_of_seed seed in
   { seed; injected; verdicts = run s ~faults:injected ~ticks:s.ticks }
 
+(* The sweep's verdict already holds the failure reason, so shrinking
+   starts from it instead of replaying the full case. *)
 let seed_failures ?(shrink = true) s r =
   List.filter_map
     (fun (mon, v) ->
-      if not (Monitor.is_fail v) then None
-      else
+      match v with
+      | Monitor.Pass -> None
+      | Monitor.Fail { reason; _ } ->
         let shrunk =
           if shrink then
-            Shrink.minimize ~run:(run s) ~monitor:mon ~faults:r.injected
-              ~ticks:s.ticks
+            Some
+              (Shrink.minimize_faults ~run:(run s) ~monitor:mon
+                 ~faults:r.injected ~ticks:s.ticks ~reason)
           else None
         in
         Some { fail_seed = r.seed; fail_monitor = mon; verdict = v; shrunk })
@@ -103,6 +107,9 @@ let run_seeds ?(domains = 1) ?(instances = 1) ?(prefix_share = true) s ~seeds
     (Array.mapi
        (fun i verdicts -> { seed = seeds.(i); injected = injected.(i); verdicts })
        verdicts)
+
+let failing_seeds c =
+  List.sort_uniq Int.compare (List.map (fun f -> f.fail_seed) c.failures)
 
 let sweep ?(shrink = true) ?(domains = 1) ?(instances = 1)
     ?(prefix_share = true) s ~seeds =

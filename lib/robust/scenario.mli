@@ -13,7 +13,6 @@ type t
 
 val make :
   ?schedule:(Fault.t list -> Clock.schedule) ->
-  ?index:(Model.component -> Sim.indexed) ->
   name:string ->
   component:Model.component ->
   ticks:int ->
@@ -25,10 +24,7 @@ val make :
     faults (default: no event clocks fire) — use
     {!Fault.schedule_of_faults} when spikes target an event-clocked
     port, so the schedule tracks the fault set as shrinking removes
-    faults.  [?index] (default {!Sim.index}) compiles the component to
-    its indexed form — pass a hash-consing wrapper (e.g.
-    [Serve.Digest.shared_index]) to share one compiled net across all
-    scenarios over structurally equal models.
+    faults.
     @raise Invalid_argument on a negative horizon. *)
 
 val name : t -> string
@@ -114,6 +110,11 @@ val run_seeds :
     (automatic for {!Fault.schedule_of_faults}-derived schedules; pass
     [~prefix_share:false] otherwise).  Results are byte-identical under
     every plan. *)
+
+val failing_seeds : campaign -> int list
+(** The distinct seeds with at least one failing monitor, ascending —
+    the "N/M seeds failing" count of the campaign reports.  A seed on
+    which several monitors fail counts once. *)
 
 val sweep :
   ?shrink:bool -> ?domains:int -> ?instances:int -> ?prefix_share:bool ->

@@ -1,9 +1,9 @@
 (* Counterexample shrinking.  Generic over how a fault set + horizon is
    turned into verdicts, so it serves stimulus-level scenarios, the
-   proptest builder's operation sequences and litmus certification
-   without a module cycle.  Every entry point runs the one
-   delta-debugging loop below; they differ in its starting granularity
-   and in the passes they chain. *)
+   proptest builder's operation sequences and litmus pins without a
+   module cycle.  Every entry point runs the one delta-debugging loop
+   below; they differ in its starting granularity and in the passes
+   they chain. *)
 
 type 'a outcome = {
   faults : 'a list;
@@ -92,24 +92,24 @@ let shrink ~run ~monitor ~n items ~ticks reason =
   in
   { faults = items; ticks; reason }
 
+let minimize_faults ~run ~monitor ~faults ~ticks ~reason =
+  shrink ~run ~monitor ~n:(List.length faults) faults ~ticks reason
+
+let minimize_ops ~run ~compile ~monitor ~ops ~ticks ~reason =
+  let run_ops ~faults ~ticks = run ~faults:(compile faults) ~ticks in
+  let o = shrink ~run:run_ops ~monitor ~n:2 ops ~ticks reason in
+  (* [o.faults] was observed failing at [o.ticks] with [o.reason], so
+     the fault pass starts from that replay instead of repeating it *)
+  ( o.faults,
+    minimize_faults ~run ~monitor ~faults:(compile o.faults) ~ticks:o.ticks
+      ~reason:o.reason )
+
+(* The entry points for a failure not yet observed: one replay finds
+   its reason. *)
 let ddmin ~fails ops =
   Option.map (fun reason -> ddmin_from ~fails ~n:2 ops reason) (fails ops)
 
 let minimize ~run ~monitor ~faults ~ticks =
   Option.map
-    (fun reason ->
-      shrink ~run ~monitor ~n:(List.length faults) faults ~ticks reason)
+    (fun reason -> minimize_faults ~run ~monitor ~faults ~ticks ~reason)
     (fails ~run ~monitor ~faults ~ticks)
-
-let minimize_ops ~run ~compile ~monitor ~ops ~ticks =
-  let run_ops ~faults ~ticks = run ~faults:(compile faults) ~ticks in
-  Option.map
-    (fun reason ->
-      let o = shrink ~run:run_ops ~monitor ~n:2 ops ~ticks reason in
-      (* [o.faults] was observed failing at [o.ticks] with [o.reason], so
-         the fault pass starts from that replay instead of repeating it *)
-      let faults = compile o.faults in
-      ( o.faults,
-        shrink ~run ~monitor ~n:(List.length faults) faults ~ticks:o.ticks
-          o.reason ))
-    (fails ~run:run_ops ~monitor ~faults:ops ~ticks)

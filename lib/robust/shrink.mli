@@ -4,7 +4,7 @@
     prefix) is executed: the caller supplies [run], typically a closure
     over a component, stimulus and monitor set.  This keeps the module
     usable for stimulus-level and timing-level campaigns, the proptest
-    builder and litmus certification alike.
+    builder and litmus pins alike.
 
     Every entry point runs the same delta-debugging loop (ddmin): it
     drops whole chunks of a failing list, refining the chunks until no
@@ -13,7 +13,12 @@
     start with singletons, which makes the loop the drop-one fixpoint
     (retry from the first element after every removal).  Every kept
     candidate was re-executed and observed to fail, so a result replays
-    to a failure by construction. *)
+    to a failure by construction.
+
+    A campaign sweep has already judged the full case, so
+    {!minimize_faults} and {!minimize_ops} take its failure [reason] and
+    do not replay it; {!minimize} and {!ddmin} first replay the full
+    case to find out whether, and why, it fails. *)
 
 type 'a outcome = {
   faults : 'a list;  (** minimal fault subset still failing *)
@@ -30,17 +35,30 @@ val ddmin :
     with the reason of its replay, or [None] when [ops] itself does not
     fail. *)
 
+val minimize_faults :
+  run:(faults:'a list -> ticks:int -> (string * Monitor.verdict) list) ->
+  monitor:string ->
+  faults:'a list ->
+  ticks:int ->
+  reason:string ->
+  'a outcome
+(** [minimize_faults ~run ~monitor ~faults ~ticks ~reason] shrinks a
+    fault list known to fail [monitor] at horizon [ticks] with [reason]
+    (the verdict of the sweep that found it): it removes single faults
+    to a fixpoint where every remaining fault is necessary, then
+    binary-searches the shortest failing prefix of the horizon.  When
+    nothing can be removed or cut, the outcome carries [reason].  Runs
+    O(|faults|^2 + log ticks) simulations. *)
+
 val minimize :
   run:(faults:'a list -> ticks:int -> (string * Monitor.verdict) list) ->
   monitor:string ->
   faults:'a list ->
   ticks:int ->
   'a outcome option
-(** [minimize ~run ~monitor ~faults ~ticks] removes single faults to a
-    fixpoint where every remaining fault is necessary, then
-    binary-searches the shortest failing prefix of the horizon.
-    Returns [None] when the full scenario does not fail [monitor].
-    Runs O(|faults|^2 + log ticks) simulations. *)
+(** {!minimize_faults} after one replay of the full scenario, which
+    supplies the reason; [None] when that replay does not fail
+    [monitor]. *)
 
 val minimize_ops :
   run:(faults:'b list -> ticks:int -> (string * Monitor.verdict) list) ->
@@ -48,11 +66,12 @@ val minimize_ops :
   monitor:string ->
   ops:'a list ->
   ticks:int ->
-  ('a list * 'b outcome) option
-(** [minimize_ops ~run ~compile ~monitor ~ops ~ticks] shrinks a failing
-    operation sequence whose faults are [compile ops]: {!ddmin} over
-    [ops] at the full horizon, bisection of the horizon, then
-    {!minimize}'s pass over the minimal sequence's faults at that
+  reason:string ->
+  'a list * 'b outcome
+(** [minimize_ops ~run ~compile ~monitor ~ops ~ticks ~reason] shrinks an
+    operation sequence whose faults [compile ops] are known to fail
+    [monitor] at horizon [ticks] with [reason]: ddmin over [ops] at the
+    full horizon (starting with halves), bisection of the horizon, then
+    {!minimize_faults} over the minimal sequence's faults at that
     horizon, which the bisection already saw fail and is not replayed.
-    Returns the minimal sequence and the fault-level outcome, or [None]
-    when [ops] does not fail [monitor]. *)
+    Returns the minimal sequence and the fault-level outcome. *)

@@ -182,7 +182,7 @@ let run ?cache ?shrink ?(domains = 1) ?(instances = 1)
     { report =
         Format.asprintf "%a%-20s %d/%d seeds failing@." Guarded.pp_comparison
           cmp "door-lock-recovery"
-          (List.length recovery.Scenario.failures)
+          (List.length (Scenario.failing_seeds recovery))
           (List.length seeds);
       gate_ok =
         cmp.Guarded.guarded.Scenario.failures = []

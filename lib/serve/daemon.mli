@@ -23,7 +23,7 @@
     OCaml 5 domain pool ({!Automode_robust.Parallel.map}); each job's
     sweep then gets [max 1 (domains / workers)] domains of the budget.
     Every shared structure a job touches (cache, probe sink, metrics,
-    hash-cons table, compiled-net memo) is mutex-guarded, and result
+    the simulator's memo tables) is mutex-guarded, and result
     files are written atomically, so concurrent jobs interleave
     safely.
 

@@ -149,32 +149,3 @@ let scenario s =
        (Sc.name s) (Sc.ticks s)
        (String.concat "," (Sc.monitors s))
        engine_rev)
-
-(* ------------------------------------------------------------------ *)
-(* Hash-consing of compiled nets                                      *)
-(* ------------------------------------------------------------------ *)
-
-let index_tbl : (string, Sim.indexed) Hashtbl.t = Hashtbl.create 16
-let index_lock = Mutex.create ()
-
-let shared_index c =
-  let d = component c in
-  Mutex.lock index_lock;
-  let found = Hashtbl.find_opt index_tbl d in
-  (* compile inside the lock: double compilation would defeat sharing,
-     and Sim.index is fast relative to the sweeps it serves *)
-  let ix, probe_key =
-    match found with
-    | Some ix -> (ix, "serve.hashcons.hit")
-    | None ->
-      let ix =
-        match Sim.index c with
-        | ix -> ix
-        | exception e -> Mutex.unlock index_lock; raise e
-      in
-      Hashtbl.add index_tbl d ix;
-      (ix, "serve.hashcons.miss")
-  in
-  Mutex.unlock index_lock;
-  Automode_obs.Probe.count probe_key;
-  ix

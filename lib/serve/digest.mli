@@ -1,4 +1,4 @@
-(** Canonical structural digests and the compiled-net hash-cons table.
+(** Canonical structural digests.
 
     The operational pipeline is deterministic, so a campaign verdict is
     a pure function of (model, fault catalog, seed, horizon, engine
@@ -47,11 +47,3 @@ val engine_rev : string
 (** Revision tag of the simulation engine + report format, baked into
     every cache key: bump it when a change makes old cached verdicts or
     report bytes stale. *)
-
-val shared_index : Model.component -> Sim.indexed
-(** Hash-consing [Sim.index]: one compiled/indexed net per component
-    digest, shared by every caller (mutex-guarded, safe from parallel
-    jobs).  Probe counters [serve.hashcons.hit] / [serve.hashcons.miss]
-    count reuse.  Pass as [~index] to
-    {!Automode_robust.Scenario.make} so concurrent campaign jobs over
-    structurally equal models compile once. *)

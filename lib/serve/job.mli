@@ -48,19 +48,9 @@ type t = {
   prefix_share : bool;
 }
 
-val kind_to_string : kind -> string
-(** ["robustness" | "guard" | "redund" | "proptest" | "litmus"]. *)
-
-val valid_id : string -> bool
-(** Non-empty, at most 64 chars, only [A-Za-z0-9._-], not starting
-    with a dot. *)
-
-val of_json : Json.t -> (t, string) result
-(** Validate and decode one job object; the error string names the
-    offending field. *)
-
 val parse_line : string -> (t, string) result
-(** [of_json] over a parsed line — the NDJSON entry point. *)
+(** Parse, validate and decode one NDJSON job line; the error string
+    names the offending field. *)
 
 val to_json : t -> Json.t
 (** Re-encode (seeds always as an explicit array) — used by the

@@ -19,9 +19,6 @@ val pp_expr : Format.formatter -> Expr.t -> unit
     and [if c then a else b].  Enum literals print qualified
     ([Type.Literal]) so parsing needs no literal-uniqueness assumption. *)
 
-val pp_component : Format.formatter -> Model.component -> unit
-val pp_model : Format.formatter -> Model.model -> unit
-
 val component_to_string : Model.component -> string
 val to_string : Model.model -> string
 (** @raise Unprintable on tuple types/values. *)

@@ -385,8 +385,6 @@ let whitebox ?(mode_naming = fun _ -> None) ?(simplify = true)
   in
   (model, report)
 
-let whitebox_component m = (fst (whitebox m)).Model.model_root
-
 (* ------------------------------------------------------------------ *)
 (* Black-box reengineering                                            *)
 (* ------------------------------------------------------------------ *)

@@ -56,9 +56,6 @@ val whitebox :
     @raise Unsupported on models outside the translatable fragment
     (several writers of one global, [Ascet_ast.check] failures). *)
 
-val whitebox_component : Ascet_ast.t -> Model.component
-(** Just the root component of {!whitebox} (convenience). *)
-
 val blackbox : name:string -> Automode_osek.Comm_matrix.t -> Model.model
 (** Partial FAA model from a communication matrix: per node one
     component with [B_unspecified] behavior, per signal an output port

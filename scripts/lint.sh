@@ -56,22 +56,22 @@ for f in lib/obs/*.mli lib/litmus/*.mli lib/proptest/*.mli lib/redund/*.mli lib/
 done >"$tmp"
 report "undocumented public .mli value (lib/obs, lib/litmus, lib/proptest, lib/redund, lib/serve, lib/core/sim.mli, lib/robust/{prefix,fault,scenario}.mli)"
 
-# Every top-level value exported by the campaign stack and the simulator
+# Every top-level value exported by a library interface (lib/*/*.mli)
 # must be used somewhere: its name, as a whole word, has to occur in the
 # OCaml sources of lib bin test bench examples perfbench/harness on some
 # line other than a definition of it (a `val NAME` line of a checked
 # interface, or a `let NAME` / `let rec NAME` / `and NAME` line of the
 # paired implementation).  A value used only inside its own module
-# passes.  No allowlist: delete an unused value instead.
+# passes here; drop it from the interface and the compiler's
+# unused-value warning takes over.  No allowlist: delete an unused value
+# instead.
 vals=$(mktemp)
 trap 'rm -f "$tmp" "$vals"' EXIT
-api="lib/robust/*.mli lib/proptest/*.mli lib/litmus/*.mli lib/obs/*.mli \
-  lib/serve/*.mli lib/redund/*.mli lib/guard/*.mli lib/core/sim.mli"
 # shellcheck disable=SC2086
 awk '
   FNR == 1 { ml = FILENAME; sub(/\.mli$/, ".ml", ml) }
   /^val [a-z_]/ { n = $2; sub(/:.*$/, "", n); print n, FILENAME, FNR, ml }
-' $api >"$vals"
+' lib/*/*.mli >"$vals"
 srcs=$(git ls-files -co --exclude-standard -- \
   'lib/*.ml' 'lib/*.mli' 'bin/*.ml' 'bin/*.mli' 'test/*.ml' 'test/*.mli' \
   'bench/*.ml' 'bench/*.mli' 'examples/*.ml' 'examples/*.mli' \

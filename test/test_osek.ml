@@ -230,7 +230,8 @@ let test_timeline_coverage () =
         else acc + (s.seg_end - s.seg_start))
       0 segs
   in
-  checki "busy matches sim" (Scheduler.simulate ~horizon:40 ts).Scheduler.busy_time busy
+  checki "busy matches sim" (Scheduler.simulate ~horizon:40 ts).Scheduler.busy_time busy;
+  checkb "empty at horizon 0" true (Scheduler.timeline ~horizon:0 ts = [])
 
 let test_timeline_preemption_order () =
   (* hi runs first at every release; lo (wcet 12) fills the gaps and

@@ -398,6 +398,22 @@ let test_scenario_nominal_passes () =
       checkb (name ^ " passes nominally") true (v = Monitor.Pass))
     verdicts
 
+let test_failing_seeds_distinct () =
+  (* seed 1 spikes the voltage out of range for the whole run, so both
+     range monitors fail on it; seed 2 runs nominally *)
+  let spike = Fault.spike ~flow:"FZG_V" ~value:(Value.Float 100.) Fault.Always in
+  let range name = Monitor.range ~name ~flow:"FZG_V" ~lo:5. ~hi:32. in
+  let scn =
+    Scenario.make ~name:"two-monitors" ~component:Door_lock.component
+      ~ticks:10 ~inputs:Robustness.lock_stimulus
+      ~faults:(fun seed -> if seed = 1 then [ spike ] else [])
+      ~monitors:[ range "a"; range "b" ] ()
+  in
+  let campaign = Scenario.sweep ~shrink:false scn ~seeds:[ 1; 2 ] in
+  checki "two failures" 2 (List.length campaign.Scenario.failures);
+  Alcotest.(check (list int)) "one failing seed" [ 1 ]
+    (Scenario.failing_seeds campaign)
+
 (* ------------------------------------------------------------------ *)
 (* CAN loss model                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -852,21 +868,42 @@ let test_base_fault_dropped () =
     checki "the horizon ends at the spike" 7 o.PB.shrunk_ticks
   | _ -> Alcotest.fail "expected one shrunk failure"
 
+(* The ticks [f ()] simulates: its sim.ticks, as --metrics reports it. *)
+let sim_ticks_of f =
+  let m = Automode_obs.Metrics.create () in
+  Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m) (fun () ->
+      ignore (f ()));
+  Option.value ~default:0 (Automode_obs.Metrics.value m "sim.ticks")
+
 (* Work gate: the shrink phase of [proptest --target unguarded --seeds 8]
    simulates exactly this many ticks (sim.ticks with shrinking minus
    sim.ticks without).  It was 7,215 when Builder ran its own ddmin, a
    drop-one pass over ddmin's already 1-minimal result and a replay of
-   the bisected case before the fault pass; one shrinker needs 6,280. *)
+   the bisected case before the fault pass.  One shrinker needed 6,280
+   while it still replayed each failing case to find the reason its
+   sweep verdict already holds; starting from that verdict it needs
+   5,720. *)
 let test_shrink_phase_ticks () =
   let sim_ticks ~shrink =
-    let m = Automode_obs.Metrics.create () in
-    Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m) (fun () ->
-        ignore (PB.run ~shrink Propcase.unguarded ~seeds:(List.init 8 succ)));
-    Option.value ~default:0 (Automode_obs.Metrics.value m "sim.ticks")
+    sim_ticks_of (fun () ->
+        PB.run ~shrink Propcase.unguarded ~seeds:(List.init 8 succ))
   in
   let sweep = sim_ticks ~shrink:false in
   checki "sweep ticks" 546 sweep;
-  checki "shrink-phase ticks" 6280 (sim_ticks ~shrink:true - sweep)
+  checki "shrink-phase ticks" 5720 (sim_ticks ~shrink:true - sweep)
+
+(* Work gates on whole shrinking runs, sweep included.
+   [robustness --seeds 8] simulated 4,085 ticks while each shrink first
+   replayed its failing case (11 failures x 40 ticks); it needs 3,645.
+   [litmus --bound 2] simulated 9,300 ticks while every pin was also
+   re-certified by ddmin (each candidate re-run on both twins) and its
+   horizon pin replayed the full scenario; it needs 8,580. *)
+let test_campaign_ticks () =
+  checki "robustness --seeds 8" 3645
+    (sim_ticks_of (fun () ->
+         Robustness.door_lock_campaign ~seeds:(List.init 8 succ) ()));
+  checki "litmus --bound 2" 8580
+    (sim_ticks_of (fun () -> Litmus_lock.synthesize ()))
 
 (* Cross-commit fixture: the reports of [proptest --target unguarded
    --seeds 8] and [robustness --seeds 8], shrinking on, as committed
@@ -1431,12 +1468,15 @@ let () =
           Alcotest.test_case "shrink deterministic" `Quick
             test_shrink_deterministic;
           Alcotest.test_case "sequence shrink deterministic" `Quick
-            test_sequence_shrink_deterministic ] );
+            test_sequence_shrink_deterministic;
+          Alcotest.test_case "failing seeds counted once" `Quick
+            test_failing_seeds_distinct ] );
       ( "shrink",
         [ Alcotest.test_case "base fault dropped" `Quick
             test_base_fault_dropped;
           Alcotest.test_case "shrink-phase ticks" `Quick
             test_shrink_phase_ticks;
+          Alcotest.test_case "campaign ticks" `Quick test_campaign_ticks;
           Alcotest.test_case "suite/shrink reports" `Quick
             test_shrink_fixtures ]
         @ qsuite [ test_minimize_is_drop_one; test_ddmin_one_minimal ] );

@@ -1,8 +1,8 @@
 (* Tests for the campaign service: digest stability (order-insensitive
    where order carries no meaning, sensitive where it does), the JSON
-   codec, the two-tier content-addressed cache, hash-consed compiled
-   nets, byte-identical warm reports with range splicing, job parsing,
-   and the spool daemon end to end. *)
+   codec, the two-tier content-addressed cache, byte-identical warm
+   reports with range splicing, job parsing, and the spool daemon end
+   to end. *)
 
 open Automode_core
 open Automode_robust
@@ -85,11 +85,6 @@ let test_fault_digest_order_sensitive () =
        (Serve.Digest.faults [ f2; f1 ]));
   checks "fault digest stable" (Serve.Digest.faults [ f1; f2 ])
     (Serve.Digest.faults [ f1; f2 ])
-
-let test_shared_index () =
-  let i1 = Serve.Digest.shared_index Door_lock.component in
-  let i2 = Serve.Digest.shared_index Door_lock.component in
-  checkb "hash-consed: physically shared" true (i1 == i2)
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                              *)
@@ -671,7 +666,6 @@ let suite =
     Alcotest.test_case "digest stability" `Quick test_digest_stability;
     Alcotest.test_case "fault digest order-sensitive" `Quick
       test_fault_digest_order_sensitive;
-    Alcotest.test_case "shared index hash-consing" `Quick test_shared_index;
     Alcotest.test_case "cache memory tier" `Quick test_cache_memory_tier;
     Alcotest.test_case "cache disk tier" `Quick test_cache_disk_tier;
     Alcotest.test_case "warm report byte-identical" `Quick

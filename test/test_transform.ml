@@ -795,6 +795,100 @@ let test_cluster_by_clock_periods () =
   | None -> Alcotest.fail "missing"
 
 (* ------------------------------------------------------------------ *)
+(* Refinement: SSD -> CCD, cluster implementation types               *)
+(* ------------------------------------------------------------------ *)
+
+let cluster_names (ccd : Ccd.t) =
+  List.map (fun (c : Cluster.t) -> c.cluster_name) ccd.Ccd.clusters
+
+(* SSD semantics delay every channel between siblings; the flat CCD must
+   say so explicitly. *)
+let sibling_channels_delayed (ccd : Ccd.t) =
+  List.for_all
+    (fun (ch : Model.channel) ->
+      match ch.ch_src.ep_comp, ch.ch_dst.ep_comp with
+      | Some _, Some _ -> ch.ch_delayed
+      | None, _ | _, None -> true)
+    ccd.Ccd.channels
+
+let test_ssd_to_ccd_door_lock () =
+  let module Dl = Automode_casestudy.Door_lock in
+  let module Rb = Automode_casestudy.Robustness in
+  let ccd = Refine.ssd_to_ccd Dl.component in
+  Alcotest.(check (list string)) "one cluster per sibling"
+    [ "VoltageMonitor"; "LockLogic"; "Dispatch" ] (cluster_names ccd);
+  checkb "sibling channels delayed" true (sibling_channels_delayed ccd);
+  let run c =
+    Sim.run ~schedule:(Rb.lock_schedule []) ~ticks:40 ~inputs:Rb.lock_stimulus
+      c
+  in
+  checkb "CCD trace-equal to the SSD" true
+    (Trace.equal (run Dl.component) (run (Ccd.to_component ccd)));
+  checkb "DFD input rejected" true
+    (try ignore (Refine.ssd_to_ccd multirate_component); false
+     with Refine.Refine_error _ -> true)
+
+let test_ssd_to_ccd_nested () =
+  let blk name e = Dfd.block_of_expr ~name ~inputs:[ ("x", Some Dtype.Tint) ] e in
+  let inner =
+    Ssd.of_network
+      ~ports:[ Model.in_port ~ty:Dtype.Tint "x"; Model.out_port ~ty:Dtype.Tint "y" ]
+      { net_name = "Inner";
+        net_components =
+          [ blk "A" Expr.(var "x" + int 1); blk "B" Expr.(var "x" * int 2) ];
+        net_channels =
+          [ Dfd.wire "ia" ("", "x") ("A", "x");
+            Dfd.wire "ab" ("A", "out") ("B", "x");
+            Dfd.wire "by" ("B", "out") ("", "y") ] }
+  in
+  let outer =
+    Ssd.of_network
+      ~ports:[ Model.in_port ~ty:Dtype.Tint "u"; Model.out_port ~ty:Dtype.Tint "w" ]
+      { net_name = "Outer";
+        net_components = [ { inner with comp_name = "Inner" }; blk "C" Expr.(var "x" - int 1) ];
+        net_channels =
+          [ Dfd.wire "ui" ("", "u") ("Inner", "x");
+            Dfd.wire "ic" ("Inner", "y") ("C", "x");
+            Dfd.wire "cw" ("C", "out") ("", "w") ] }
+  in
+  let ccd = Refine.ssd_to_ccd outer in
+  Alcotest.(check (list string)) "inner SSD inlined, one cluster per sibling"
+    [ "C"; "Inner_A"; "Inner_B" ] (cluster_names ccd);
+  checkb "sibling channels delayed" true (sibling_channels_delayed ccd);
+  checkb "CCD trace-equal to the SSD" true
+    (Equiv.trace_equivalent ~ticks:40 outer (Ccd.to_component ccd) = Ok ())
+
+let test_refine_cluster_types () =
+  let ports =
+    [ Model.in_port ~ty:Dtype.Tfloat "x"; Model.out_port ~ty:Dtype.Tfloat "y" ]
+  in
+  let cluster =
+    Cluster.make ~name:"K" ~ports
+      ~body:
+        { net_name = "K_body";
+          net_components = [];
+          net_channels = [ Dfd.wire "xy" ("", "x") ("", "y") ] }
+      ()
+  in
+  let q16 = Impl_type.fixed_for_range ~container:Impl_type.Int16 ~lo:0. ~hi:100. () in
+  let refined =
+    Refine.refine_cluster_types cluster ~choose:(fun (p : Model.port) ->
+        if String.equal p.port_name "x" then Some q16 else None)
+  in
+  checkb "refining type recorded" true
+    (match List.assoc_opt "x" refined.Cluster.impl_types with
+     | Some t -> Impl_type.equal t q16
+     | None -> false);
+  checkb "unchosen port untouched" true
+    (List.assoc_opt "y" refined.Cluster.impl_types = None);
+  checkb "non-refining type rejected" true
+    (try
+       ignore
+         (Refine.refine_cluster_types cluster ~choose:(fun _ -> Some Impl_type.Ibool));
+       false
+     with Refine.Refine_error _ -> true)
+
+(* ------------------------------------------------------------------ *)
 (* MTD -> partitionable dataflow                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -860,6 +954,11 @@ let () =
       ( "refine-clustering",
         [ Alcotest.test_case "by clock" `Quick test_cluster_by_clock;
           Alcotest.test_case "periods" `Quick test_cluster_by_clock_periods ] );
+      ( "ssd-to-ccd",
+        [ Alcotest.test_case "door lock" `Quick test_ssd_to_ccd_door_lock;
+          Alcotest.test_case "nested ssd" `Quick test_ssd_to_ccd_nested ] );
+      ( "cluster types",
+        [ Alcotest.test_case "refining types" `Quick test_refine_cluster_types ] );
       ( "mtd-to-dataflow",
         [ Alcotest.test_case "equivalence" `Quick test_mtd_to_dataflow_equiv;
           Alcotest.test_case "deployable" `Quick test_mtd_to_dataflow_is_deployable ] ) ]
