@@ -195,7 +195,8 @@ val run_case : t -> seed:int -> iteration:int -> case
 val case_failures : ?shrink:bool -> t -> case -> failure list
 (** The failing (monitor, verdict) pairs of one case, each shrunk to a
     minimal operation subsequence, fault subset and horizon prefix
-    unless [~shrink:false]. *)
+    unless [~shrink:false].  Shrinking starts from the case's verdict,
+    so the full case is not replayed. *)
 
 val run :
   ?shrink:bool -> ?domains:int -> ?instances:int -> ?prefix_share:bool ->

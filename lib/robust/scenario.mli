@@ -89,7 +89,9 @@ val run_seed : t -> seed:int -> seed_result
 val seed_failures : ?shrink:bool -> t -> seed_result -> failure list
 (** The failing (monitor, verdict) pairs of one seed's result, each
     shrunk to a minimal fault subset unless [~shrink:false] — the
-    per-seed slice of a campaign's [failures] list, in verdict order. *)
+    per-seed slice of a campaign's [failures] list, in verdict order.
+    Shrinking starts from the verdict's reason
+    ({!Shrink.minimize_faults}), so the seed is not replayed. *)
 
 val run_seeds :
   ?domains:int -> ?instances:int -> ?prefix_share:bool -> t ->

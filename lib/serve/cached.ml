@@ -33,7 +33,7 @@ let decode_verdict = function
   | _ -> None
 
 (* A shrunk fault's position in the injected list: physical equality
-   first (Shrink.minimize only removes elements), description equality
+   first (the shrinker only removes elements), description equality
    as the fallback. *)
 let fault_index injected f =
   let rec go i = function
@@ -87,7 +87,7 @@ let decode_shrunk injected = function
 let entry_version = 1
 
 (* None when a shrunk fault cannot be indexed (never happens for
-   Shrink.minimize outcomes, but a custom shrinker could) — the seed is
+   Shrink outcomes, but a custom shrinker could) — the seed is
    then simply not cached. *)
 let encode_entry (r : Scenario.seed_result) (failures : Scenario.failure list)
     =

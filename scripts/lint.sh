@@ -3,6 +3,8 @@
 #   - no trailing whitespace (sources, docs, build files)
 #   - no tab indentation in OCaml sources (this repo indents with spaces)
 #   - no unresolved merge-conflict markers
+#   - documented and used library interfaces, and docs that name only
+#     values the libraries declare (see each check below)
 # PAPERS.md and SNIPPETS.md are vendored reference text and exempt from
 # the whitespace rules.  Run from the repository root; exits non-zero
 # listing every offending line.  CI runs this alongside build + runtest.
@@ -102,5 +104,59 @@ awk '
   }
 ' "$vals" $srcs >"$tmp"
 report "unused exported value (remove it, or use it)"
+
+# Every backticked `Module.name` in README.md, DESIGN.md and docs/*.md
+# whose Module is a library module (a lib/*/<module>.mli, or
+# lib/workloads/workloads.ml, which has no interface) must name a `val`
+# or `type` declared there, so a deleted or renamed value takes its
+# docs along.  A qualified path's last module counts
+# (`Serve.Digest.component` checks `Digest`); `Stdlib.` paths are not
+# library modules.
+decls=$(mktemp)
+trap 'rm -f "$tmp" "$vals" "$decls"' EXIT
+{
+  for f in lib/*/*.mli; do
+    awk -v mod="$(basename "$f" .mli)" '
+      /^[ \t]*(val|external) / { n = $2 }
+      /^[ \t]*(type|and) / {
+        n = $0
+        sub(/^[ \t]*(type|and)[ \t]+(nonrec[ \t]+)?/, "", n)
+        sub(/^[+-]?\x27[A-Za-z0-9_]+[ \t]+/, "", n)
+        sub(/^\([^)]*\)[ \t]*/, "", n)
+      }
+      n != "" {
+        sub(/[^A-Za-z0-9_\x27].*$/, "", n)
+        print toupper(substr(mod, 1, 1)) substr(mod, 2), n
+        n = ""
+      }
+    ' "$f"
+  done
+  awk '/^(let|let rec|and|type) / {
+    n = $2; if (n == "rec") n = $3
+    sub(/[^A-Za-z0-9_].*$/, "", n); print "Workloads", n
+  }' lib/workloads/workloads.ml
+} >"$decls"
+awk '
+  NR == FNR { declared[$1 SUBSEP $2] = 1; lib[$1] = 1; next }
+  {
+    n = split($0, part, "`")
+    for (i = 2; i <= n; i += 2) {
+      span = part[i]
+      while (match(span, /[A-Z][A-Za-z0-9_]*\.[a-z_][A-Za-z0-9_\x27]*/)) {
+        ref = substr(span, RSTART, RLENGTH)
+        pre = substr(span, 1, RSTART - 1)
+        span = substr(span, RSTART + RLENGTH)
+        if (pre ~ /[A-Za-z0-9_]$/ || pre ~ /(^|[^A-Za-z0-9_])Stdlib\.$/)
+          continue
+        dot = index(ref, ".")
+        m = substr(ref, 1, dot - 1); v = substr(ref, dot + 1)
+        if ((m in lib) && !((m SUBSEP v) in declared))
+          printf "%s:%d: `%s` names no val or type of %s\n", FILENAME, FNR,
+            ref, m
+      }
+    }
+  }
+' "$decls" README.md DESIGN.md docs/*.md >"$tmp"
+report "docs name a library value that does not exist"
 
 exit $status
