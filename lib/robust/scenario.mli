@@ -91,7 +91,8 @@ val seed_failures : ?shrink:bool -> t -> seed_result -> failure list
     shrunk to a minimal fault subset unless [~shrink:false] — the
     per-seed slice of a campaign's [failures] list, in verdict order.
     Shrinking starts from the verdict's reason
-    ({!Shrink.minimize_faults}), so the seed is not replayed. *)
+    ({!Shrink.minimize_faults}), so the seed's full run is not
+    replayed. *)
 
 val run_seeds :
   ?domains:int -> ?instances:int -> ?prefix_share:bool -> t ->

@@ -69,7 +69,6 @@ report "undocumented public .mli value (lib/obs, lib/litmus, lib/proptest, lib/r
 # instead.
 vals=$(mktemp)
 trap 'rm -f "$tmp" "$vals"' EXIT
-# shellcheck disable=SC2086
 awk '
   FNR == 1 { ml = FILENAME; sub(/\.mli$/, ".ml", ml) }
   /^val [a-z_]/ { n = $2; sub(/:.*$/, "", n); print n, FILENAME, FNR, ml }
@@ -110,8 +109,7 @@ report "unused exported value (remove it, or use it)"
 # lib/workloads/workloads.ml, which has no interface) must name a `val`
 # or `type` declared there, so a deleted or renamed value takes its
 # docs along.  A qualified path's last module counts
-# (`Serve.Digest.component` checks `Digest`); `Stdlib.` paths are not
-# library modules.
+# (`Serve.Digest.component` checks `Digest`).
 decls=$(mktemp)
 trap 'rm -f "$tmp" "$vals" "$decls"' EXIT
 {
@@ -146,8 +144,7 @@ awk '
         ref = substr(span, RSTART, RLENGTH)
         pre = substr(span, 1, RSTART - 1)
         span = substr(span, RSTART + RLENGTH)
-        if (pre ~ /[A-Za-z0-9_]$/ || pre ~ /(^|[^A-Za-z0-9_])Stdlib\.$/)
-          continue
+        if (pre ~ /[A-Za-z0-9_]$/) continue
         dot = index(ref, ".")
         m = substr(ref, 1, dot - 1); v = substr(ref, dot + 1)
         if ((m in lib) && !((m SUBSEP v) in declared))
