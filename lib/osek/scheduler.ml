@@ -23,7 +23,6 @@ type task_stats = {
   completions : int;
   deadline_misses : int;
   max_response : int;
-  total_response : int;
   preemptions : int;
   overruns : int;
   watchdog_fires : int;
@@ -114,7 +113,7 @@ type job = {
 
 let empty_stats =
   { activations = 0; completions = 0; deadline_misses = 0; max_response = 0;
-    total_response = 0; preemptions = 0; overruns = 0; watchdog_fires = 0 }
+    preemptions = 0; overruns = 0; watchdog_fires = 0 }
 
 let validate tasks =
   let names = List.map (fun (t : Osek_task.t) -> t.task_name) tasks in
@@ -282,7 +281,6 @@ let run ?exec ?watchdog ~horizon ~on_slice tasks =
                    watchdog_fires = s.watchdog_fires + 1;
                    completions = s.completions + 1;
                    max_response = Stdlib.max s.max_response response;
-                   total_response = s.total_response + response;
                    deadline_misses =
                      (s.deadline_misses
                      + if response > job.j_task.Osek_task.deadline then 1
@@ -292,7 +290,6 @@ let run ?exec ?watchdog ~horizon ~on_slice tasks =
                  { s with
                    completions = s.completions + 1;
                    max_response = Stdlib.max s.max_response response;
-                   total_response = s.total_response + response;
                    deadline_misses =
                      (s.deadline_misses
                      + if response > job.j_task.Osek_task.deadline then 1

@@ -12,7 +12,6 @@ type task_stats = {
   completions : int;
   deadline_misses : int;
   max_response : int;   (** worst observed response time, us *)
-  total_response : int; (** sum over completed jobs, us *)
   preemptions : int;    (** times a job of this task was preempted *)
   overruns : int;       (** jobs whose injected demand exceeded the WCET *)
   watchdog_fires : int; (** jobs cut off at the watchdog budget *)
