@@ -192,6 +192,33 @@ let min_time ~reps f =
   done;
   !best
 
+(* The verdict table: each asserted gate records its bound and its
+   reading and prints its line where it is measured, instead of exiting
+   on the spot, so every section runs; [main] prints the whole table
+   last and exits non-zero if any gate failed. *)
+type verdict = { gate : string; bound : string; reading : string; ok : bool }
+
+let verdicts = ref []
+
+let gate name ~bound ~reading ok =
+  verdicts := { gate = name; bound; reading; ok } :: !verdicts;
+  if ok then Printf.printf "%s %s: OK\n" name bound
+  else Printf.printf "%s %s: FAILED (%s)\n" name bound reading
+
+let ratio r = Printf.sprintf "%.2fx" r
+
+let print_verdicts () =
+  section "verdicts";
+  Printf.printf "%-44s %-10s %-10s %s\n" "gate" "bound" "reading" "verdict";
+  List.iter
+    (fun v ->
+      Printf.printf "%-44s %-10s %-10s %s\n" v.gate v.bound v.reading
+        (if v.ok then "OK" else "FAILED"))
+    (List.rev !verdicts);
+  let failed = List.length (List.filter (fun v -> not v.ok) !verdicts) in
+  Printf.printf "%d of %d gates failed\n" failed (List.length !verdicts);
+  failed = 0
+
 (* E16's overhead claim: full metrics on the E3 pipeline cost < 10 %.
    Min-of-reps wall clock so scheduler noise cancels; the bound is only
    asserted in full bench mode (never in the --artifacts-only CI smoke,
@@ -214,18 +241,17 @@ let e16_overhead ~assert_bound () =
      full metrics (overhead %+.1f%%)\n"
     reps (base *. 1e3) (instr *. 1e3) overhead;
   if assert_bound then
-    if overhead < 10. then print_endline "overhead bound < 10%: OK"
-    else begin
-      Printf.printf "overhead bound < 10%%: FAILED (%+.1f%%)\n" overhead;
-      exit 1
-    end
+    gate "E16 overhead" ~bound:"< 10%"
+      ~reading:(Printf.sprintf "%+.1f%%" overhead)
+      (overhead < 10.)
 
-(* E17: the index-compiled engine vs. the interpreted oracle, and the
-   domain-parallel campaign sweep vs. serial.  Engine speedups are
-   asserted in full bench mode; the parallel speedup additionally needs
-   actual cores (a single-CPU runner can only lose wall clock to domain
-   overhead, while the byte-identity of the reports holds anywhere and
-   is asserted whenever the section runs). *)
+(* E17: one-instance compiled runs ([run_indexed], a width-1 batch) vs.
+   the interpreted oracle, and the domain-parallel campaign sweep vs.
+   serial.  Engine speedups are asserted in full bench mode; the
+   parallel speedup additionally needs actual cores (a single-CPU runner
+   can only lose wall clock to domain overhead, while the byte-identity
+   of the reports holds anywhere and is asserted whenever the section
+   runs). *)
 let e17_speedups ~domains ~assert_bounds () =
   section "E17 | indexed engine + domain-parallel campaign sweeps";
   let reps = 5 in
@@ -259,11 +285,9 @@ let e17_speedups ~domains ~assert_bounds () =
   if assert_bounds then
     List.iter
       (fun (name, _, _, r, bound) ->
-        if r >= bound then Printf.printf "%s speedup >= %.0fx: OK\n" name bound
-        else begin
-          Printf.printf "%s speedup >= %.0fx: FAILED (%.2fx)\n" name bound r;
-          exit 1
-        end)
+        gate ("E17 " ^ name ^ " speedup")
+          ~bound:(Printf.sprintf ">= %.0fx" bound)
+          ~reading:(ratio r) (r >= bound))
       engine_rows;
   (* campaign sweep: the E13 door-lock campaign, 16 seeds, horizon scaled
      up so per-seed work dominates the domain-spawn overhead *)
@@ -297,20 +321,16 @@ let e17_speedups ~domains ~assert_bounds () =
     (t_serial *. 1e3) domains (t_par *. 1e3) speedup cores
     (if cores = 1 then "" else "s")
     identical;
-  if not identical then begin
-    print_endline "serial vs parallel report identity: FAILED";
-    exit 1
-  end;
+  gate "E17 serial vs parallel report identity" ~bound:"identical"
+    ~reading:(string_of_bool identical) identical;
   if assert_bounds then
     if cores < 4 then
       Printf.printf
-        "parallel speedup > 1.5x: skipped (%d core%s available)\n" cores
+        "E17 parallel speedup > 1.5x: skipped (%d core%s available)\n" cores
         (if cores = 1 then "" else "s")
-    else if speedup > 1.5 then print_endline "parallel speedup > 1.5x: OK"
-    else begin
-      Printf.printf "parallel speedup > 1.5x: FAILED (%.2fx)\n" speedup;
-      exit 1
-    end
+    else
+      gate "E17 parallel speedup" ~bound:"> 1.5x" ~reading:(ratio speedup)
+        (speedup > 1.5)
 
 (* E18: the campaign service's content-addressed verdict cache.  A warm
    sweep (every per-seed verdict spliced from the cache) must return a
@@ -351,16 +371,11 @@ let e18_cache ~assert_bounds () =
     "door-lock campaign, 8 seeds: cold %.2f ms, warm (all %d seeds from \
      cache) %.2f ms (%.1fx); reports byte-identical: %b\n"
     (t_cold *. 1e3) (List.length seeds) (t_warm *. 1e3) speedup identical;
-  if not identical then begin
-    print_endline "cold vs warm report identity: FAILED";
-    exit 1
-  end;
+  gate "E18 cold vs warm report identity" ~bound:"identical"
+    ~reading:(string_of_bool identical) identical;
   if assert_bounds then
-    if speedup >= 2. then print_endline "warm-cache speedup >= 2x: OK"
-    else begin
-      Printf.printf "warm-cache speedup >= 2x: FAILED (%.2fx)\n" speedup;
-      exit 1
-    end;
+    gate "E18 warm-cache speedup" ~bound:">= 2x" ~reading:(ratio speedup)
+      (speedup >= 2.);
   [ ("serve/E18-campaign-cold-8seeds", t_cold *. 1e9);
     ("serve/E18-campaign-warm-8seeds", t_warm *. 1e9) ]
 
@@ -425,16 +440,11 @@ let e19_proptest ~assert_bounds () =
     "unguarded door-lock spec, 8 seeds x %d iterations: builder %.2f ms, \
      hand-assembled loop %.2f ms (%.2fx); verdicts identical: %b\n"
     iterations (t_builder *. 1e3) (t_hand *. 1e3) overhead identical;
-  if not identical then begin
-    print_endline "builder vs hand-assembled verdict identity: FAILED";
-    exit 1
-  end;
+  gate "E19 builder vs hand-assembled verdicts" ~bound:"identical"
+    ~reading:(string_of_bool identical) identical;
   if assert_bounds then
-    if overhead <= 1.2 then print_endline "builder overhead <= 1.2x: OK"
-    else begin
-      Printf.printf "builder overhead <= 1.2x: FAILED (%.2fx)\n" overhead;
-      exit 1
-    end;
+    gate "E19 builder overhead" ~bound:"<= 1.2x" ~reading:(ratio overhead)
+      (overhead <= 1.2);
   [ ("proptest/E19-builder-16cases", t_builder *. 1e9);
     ("proptest/E19-hand-16cases", t_hand *. 1e9) ]
 
@@ -467,21 +477,16 @@ let e20_litmus ~assert_bounds () =
     bound cold.Synth.res_enumerated cold.Synth.res_unique (t_cold *. 1e3)
     (float_of_int cold.Synth.res_evaluated /. t_cold)
     (t_warm *. 1e3) speedup identical;
-  if not identical then begin
-    print_endline "cold vs warm report identity: FAILED";
-    exit 1
-  end;
+  gate "E20 cold vs warm report identity" ~bound:"identical"
+    ~reading:(string_of_bool identical) identical;
   if assert_bounds then
-    if speedup >= 2. then print_endline "warm-cache speedup >= 2x: OK"
-    else begin
-      Printf.printf "warm-cache speedup >= 2x: FAILED (%.2fx)\n" speedup;
-      exit 1
-    end;
+    gate "E20 warm-cache speedup" ~bound:">= 2x" ~reading:(ratio speedup)
+      (speedup >= 2.);
   [ ("litmus/E20-enum-cold-k2", t_cold *. 1e9);
     ("litmus/E20-enum-warm-k2", t_warm *. 1e9) ]
 
-(* E21: the struct-of-arrays batched engine vs. looping [run_indexed]
-   over the instance axis.  One batch steps 1000 divergent instances of
+(* E21: the struct-of-arrays batched engine at width 1000 vs. looping
+   one-instance runs ([run_indexed]) over the instance axis.  One batch steps 1000 divergent instances of
    the 200-node random DFD; the pinned >= 10x instance-ticks/sec ratio
    and the per-instance trace identity (looped vs batched vs
    domain-sharded) are asserted whenever the section runs — the ratio
@@ -489,7 +494,7 @@ let e20_litmus ~assert_bounds () =
    even on noisy CI runners.  Returns (name, ns/run) rows for the JSON
    dump. *)
 let e21_batch ~domains () =
-  section "E21 | batched engine: instance axis vs looped run_indexed";
+  section "E21 | batched engine: instance axis vs looped one-instance runs";
   let reps = 3 in
   let dfd = Workloads.random_dfd_component ~seed:42 ~n:200 in
   let ix = Sim.index dfd in
@@ -548,23 +553,17 @@ let e21_batch ~domains () =
   Printf.printf
     "per-instance traces byte-identical: %b (1 shard), %b (%d shards)\n"
     identical identical_sharded domains;
-  if not (identical && identical_sharded) then begin
-    print_endline "batched vs looped trace identity: FAILED";
-    exit 1
-  end;
-  if ratio_cold >= 10. then
-    print_endline "batched >= 10x instance-ticks/sec (cold): OK"
-  else begin
-    Printf.printf
-      "batched >= 10x instance-ticks/sec (cold): FAILED (%.2fx)\n" ratio_cold;
-    exit 1
-  end;
+  gate "E21 batched vs looped trace identity" ~bound:"identical"
+    ~reading:(string_of_bool (identical && identical_sharded))
+    (identical && identical_sharded);
+  gate "E21 batched instance-ticks/sec (cold)" ~bound:">= 10x"
+    ~reading:(ratio ratio_cold) (ratio_cold >= 10.);
   [ ("core/E21-looped-1000x32", t_loop *. 1e9);
     ("core/E21-batch-cold-1000x32", t_cold *. 1e9);
     ("core/E21-batch-warm-1000x32", t_warm *. 1e9) ]
 
-(* E22: checkpointed prefix-sharing campaign execution (Sim.Snapshot +
-   fork-from-divergence scheduling).  Two workloads whose faults all
+(* E22: checkpointed prefix-sharing campaign execution (batch snapshots
+   + fork-from-divergence scheduling).  Two workloads whose faults all
    activate late in the horizon, so almost the whole simulation is a
    shared fault-free prefix:
 
@@ -691,31 +690,15 @@ let e22_prefix ~domains () =
        (Automode_obs.Probe.standard m)
        (fun () -> sweep ~prefix_share:true ()));
   print_string (Automode_obs.Metrics.to_text m);
-  if not (lit_identical && sw_identical) then begin
-    print_endline "prefix-shared vs looped report identity: FAILED";
-    exit 1
-  end;
-  if ratio_lit >= 3. then
-    print_endline "litmus prefix sharing >= 3x: OK"
-  else begin
-    Printf.printf "litmus prefix sharing >= 3x: FAILED (%.2fx)\n" ratio_lit;
-    exit 1
-  end;
-  if ratio_sw >= 2. then
-    print_endline "robustness-sweep prefix sharing >= 2x: OK"
-  else begin
-    Printf.printf "robustness-sweep prefix sharing >= 2x: FAILED (%.2fx)\n"
-      ratio_sw;
-    exit 1
-  end;
-  if ratio_batched <= 1.5 then
-    print_endline "batched prefix-shared sweep <= 1.5x serial: OK"
-  else begin
-    Printf.printf
-      "batched prefix-shared sweep <= 1.5x serial: FAILED (%.2fx)\n"
-      ratio_batched;
-    exit 1
-  end;
+  gate "E22 prefix-shared vs looped report identity" ~bound:"identical"
+    ~reading:(string_of_bool (lit_identical && sw_identical))
+    (lit_identical && sw_identical);
+  gate "E22 litmus prefix sharing" ~bound:">= 3x" ~reading:(ratio ratio_lit)
+    (ratio_lit >= 3.);
+  gate "E22 robustness-sweep prefix sharing" ~bound:">= 2x"
+    ~reading:(ratio ratio_sw) (ratio_sw >= 2.);
+  gate "E22 batched prefix-shared sweep vs serial" ~bound:"<= 1.5x"
+    ~reading:(ratio ratio_batched) (ratio_batched <= 1.5);
   [ ("litmus/E22-litmus-looped-k2", t_lit_loop *. 1e9);
     ("litmus/E22-litmus-shared-k2", t_lit_shared *. 1e9);
     ("robust/E22-sweep-looped-1000", t_sw_loop *. 1e9);
@@ -1125,4 +1108,5 @@ let () =
     match arg_value "--json" with
     | Some path -> write_json path rows
     | None -> ()
-  end
+  end;
+  if not (print_verdicts ()) then exit 1

@@ -235,20 +235,20 @@ let non_harmonic_channel (model : Model.model) =
   | Model.B_exprs _ | Model.B_std _ | Model.B_mtd _ | Model.B_unspecified ->
     []
 
-let default_rules =
-  [ ("actuator-conflict", actuator_conflict);
-    ("shared-sensor", shared_sensor);
-    ("unspecified-behavior", unspecified_behavior);
-    ("dangling-channel", dangling_channels);
-    ("unconnected-function", unconnected_functions);
-    ("prototype-actuator", prototype_actuator);
-    ("non-harmonic-channel", non_harmonic_channel);
-    ("faa-feedback", undelayed_faa_feedback) ]
+let rules =
+  [ actuator_conflict;
+    shared_sensor;
+    unspecified_behavior;
+    dangling_channels;
+    unconnected_functions;
+    prototype_actuator;
+    non_harmonic_channel;
+    undelayed_faa_feedback ]
 
 let severity_rank = function `Conflict -> 0 | `Warning -> 1 | `Info -> 2
 
-let run ?(rules = default_rules) model =
-  List.concat_map (fun (_, rule) -> rule model) rules
+let run model =
+  List.concat_map (fun rule -> rule model) rules
   |> List.stable_sort (fun a b ->
          Int.compare (severity_rank a.severity) (severity_rank b.severity))
 

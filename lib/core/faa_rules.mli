@@ -27,9 +27,10 @@ val actuator_conflict : rule
 (** Two distinct vehicle functions drive the same actuator resource.
     Countermeasure: introduce a coordinating functionality. *)
 
-val run : ?rules:(string * rule) list -> Model.model -> finding list
-(** Apply the rules; findings are ordered by severity ([`Conflict]
-    first).  The default rule set, keyed by identifier:
+val run : Model.model -> finding list
+(** Apply every rule; findings are ordered by severity ([`Conflict]
+    first).  The rules, by the identifier their findings carry in
+    [rule]:
     - [actuator-conflict]: {!actuator_conflict};
     - [shared-sensor] ([`Info]): several functions read one sensor;
     - [unspecified-behavior]: a [`Warning] on FAA, where prototypical

@@ -401,15 +401,13 @@ let run ?(schedule = Clock.no_events) ~ticks ~inputs (comp : Model.component) =
 
 (* Lowering stage: channel routing is resolved once and every channel,
    sub-component output and delay register is numbered at index time,
-   so finding a port's driving channel each tick is an array read
-   instead of the interpreter's by-name search and the tick loop
-   mutates pre-sized arrays in place.
-   All mutable run-time state lives in {!ix_state} values created fresh
-   by {!indexed_init}; an [indexed] value itself is immutable and can be
-   shared freely, including across domains.
+   so the batch compiler ({!batch}) turns every read into a fixed plane
+   row instead of the interpreter's by-name search.  An [indexed] value
+   is immutable and can be shared freely, including across domains and
+   across the batches compiled from it.
 
-   Per network and tick the phases mirror the interpreter exactly (the
-   trace-identity tests depend on it):
+   Per network and tick the staged step's phases mirror the interpreter
+   exactly (the trace-identity tests depend on it):
    1. sweep sub-components in evaluation order — instantaneous reads see
       the slots already written this tick, delayed reads the registers
       from last tick;
@@ -459,19 +457,7 @@ and ix_chan = {
   xc_absent : Probe.counter;
 }
 
-type ix_net_state = {
-  x_slots : Value.message array;   (* this tick's sub-component outputs *)
-  x_buffers : Value.message array; (* delay registers, one per channel *)
-  x_bout : Value.message array;    (* this tick's boundary outputs *)
-  x_subs : ix_state array;
-}
-
-and ix_state =
-  | Xst_atomic of { mutable xst : comp_state }
-  | Xst_net of ix_net_state
-
 type indexed = {
-  ix_name : string;
   ix_in_ports : string list;
   ix_out_ports : string list;
   ix_root : ix_node;
@@ -649,220 +635,10 @@ let index (comp : Model.component) : indexed =
                 !bi)
               out_ports))
   in
-  { ix_name = comp.comp_name;
-    ix_in_ports = in_ports;
+  { ix_in_ports = in_ports;
     ix_out_ports = out_ports;
     ix_root = root;
     ix_out_bounds = out_bounds }
-
-let rec ix_init_node (node : ix_node) : ix_state =
-  match node with
-  | Ix_atomic a ->
-    Xst_atomic { xst = init_behavior ~ports:a.xa_ports a.xa_behavior }
-  | Ix_net n ->
-    Xst_net
-      { x_slots = Array.make n.xn_nslots Value.Absent;
-        x_buffers = Array.copy n.xn_buf_init;
-        x_bout = Array.make (Array.length n.xn_bounds) Value.Absent;
-        x_subs = Array.map (fun s -> ix_init_node s.xs_node) n.xn_subs }
-
-let indexed_init (ix : indexed) = ix_init_node ix.ix_root
-
-(* Atomic nodes return their outputs; network nodes write theirs into
-   their state's [x_bout] array and return []. *)
-let rec ix_step_node ~schedule ~tick ~inputs (node : ix_node)
-    (state : ix_state) : (string * Value.message) list =
-  match node, state with
-  | Ix_atomic a, Xst_atomic st ->
-    let outs, st' =
-      step_behavior ~schedule ~tick ~ports:a.xa_ports ~inputs a.xa_behavior
-        st.xst
-    in
-    st.xst <- st';
-    outs
-  | Ix_net n, Xst_net ns ->
-    ix_step_net ~schedule ~tick ~inputs n ns;
-    []
-  | (Ix_atomic _ | Ix_net _), (Xst_atomic _ | Xst_net _) ->
-    sim_error "indexed behavior/state shape mismatch"
-
-and ix_step_net ~schedule ~tick ~inputs (n : ix_net) (ns : ix_net_state) =
-  let read = function
-    | Rd_boundary port -> inputs port
-    | Rd_slot i -> Array.unsafe_get ns.x_slots i
-    | Rd_buffer i -> Array.unsafe_get ns.x_buffers i
-  in
-  (* 1. sweep *)
-  for i = 0 to Array.length n.xn_subs - 1 do
-    let sub = Array.unsafe_get n.xn_subs i in
-    let sub_state = Array.unsafe_get ns.x_subs i in
-    let drivers = sub.xs_drivers in
-    let ndrv = Array.length drivers in
-    let sub_inputs port =
-      let rec find j =
-        if j >= ndrv then Value.Absent
-        else
-          let p, rd = Array.unsafe_get drivers j in
-          if String.equal p port then read rd else find (j + 1)
-      in
-      find 0
-    in
-    if Probe.active () then begin
-      Probe.hit sub.xs_fire;
-      if Probe.spans_on () then Probe.enter ~tick sub.xs_name
-    end;
-    let outs =
-      ix_step_node ~schedule ~tick ~inputs:sub_inputs sub.xs_node sub_state
-    in
-    if Probe.spans_on () then Probe.exit_ ~tick sub.xs_name;
-    match sub.xs_outs with
-    | Xo_atomic pairs ->
-      Array.iter
-        (fun (port, slot) -> ns.x_slots.(slot) <- lookup_outputs outs port)
-        pairs
-    | Xo_net pairs ->
-      let child_out =
-        match sub_state with
-        | Xst_net c -> c.x_bout
-        | Xst_atomic _ -> sim_error "indexed behavior/state shape mismatch"
-      in
-      Array.iter
-        (fun (bi, slot) ->
-          ns.x_slots.(slot) <-
-            (if bi < 0 then Value.Absent else Array.unsafe_get child_out bi))
-        pairs
-  done;
-  (* 2. boundary outputs (old registers) *)
-  Array.iteri
-    (fun i (b : ix_bound) -> ns.x_bout.(i) <- read b.xb_read)
-    n.xn_bounds;
-  (* 3. refresh delay registers *)
-  let probing = Probe.active () in
-  Array.iter
-    (fun (ch : ix_chan) ->
-      let v = read ch.xc_src in
-      if probing then
-        Probe.hit
-          (match v with
-           | Value.Present _ -> ch.xc_present
-           | Value.Absent -> ch.xc_absent);
-      ns.x_buffers.(ch.xc_buf) <- v)
-    n.xn_chans
-
-let indexed_step ?(schedule = Clock.no_events) ~tick ~inputs (ix : indexed)
-    state =
-  let outs = ix_step_node ~schedule ~tick ~inputs ix.ix_root state in
-  match ix.ix_out_bounds, state with
-  | Some bounds, Xst_net ns ->
-    List.mapi
-      (fun i port ->
-        let bi = bounds.(i) in
-        (port, if bi < 0 then Value.Absent else ns.x_bout.(bi)))
-      ix.ix_out_ports
-  | None, _ ->
-    List.map (fun port -> (port, lookup_outputs outs port)) ix.ix_out_ports
-  | Some _, Xst_atomic _ -> sim_error "indexed behavior/state shape mismatch"
-
-(* The tick loop shared by [run_indexed] (span [0, ticks)) and the
-   snapshot machinery (spans that stop at a capture tick or resume from
-   one).  A straight run and a capture+resume pair execute the exact
-   same sequence of loop bodies — that is the whole byte-identity
-   argument, so keep this the single copy of the body. *)
-let ix_run_span ~schedule ~start ~stop ~inputs (ix : indexed) state trace =
-  let in_names = ix.ix_in_ports in
-  let rec go tick trace =
-    if tick >= stop then trace
-    else begin
-      let offered = inputs tick in
-      let input_fn port =
-        match List.assoc_opt port offered with
-        | Some msg -> msg
-        | None -> Value.Absent
-      in
-      if Probe.active () then begin
-        Probe.hit sim_ticks;
-        if Probe.spans_on () then Probe.enter ~tick ~cat:"tick" "tick"
-      end;
-      let outs = indexed_step ~schedule ~tick ~inputs:input_fn ix state in
-      if Probe.spans_on () then Probe.exit_ ~tick ~cat:"tick" "tick";
-      (* rows are built in flow order (inputs then declared outputs), so
-         the per-flow projection of Trace.record is unnecessary *)
-      let row = List.map (fun port -> (port, input_fn port)) in_names @ outs in
-      go (tick + 1) (Trace.record_ordered trace row)
-    end
-  in
-  go start trace
-
-let run_indexed ?(schedule = Clock.no_events) ~ticks ~inputs (ix : indexed) =
-  let trace = Trace.make ~flows:(ix.ix_in_ports @ ix.ix_out_ports) in
-  let state = indexed_init ix in
-  ix_run_span ~schedule ~start:0 ~stop:ticks ~inputs ix state trace
-
-(* ------------------------------------------------------------------ *)
-(* Snapshots of indexed runs                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A deep copy of an [ix_state].  [comp_state] values are immutable
-   (persistent interpreter states), so copying the one mutable [xst]
-   cell suffices for atomic nodes; network nodes copy their message
-   arrays (messages themselves are immutable values).  Cost is
-   O(slots + registers + bounds) per net — no traversal of the model. *)
-let rec ix_copy_state (state : ix_state) : ix_state =
-  match state with
-  | Xst_atomic { xst } -> Xst_atomic { xst }
-  | Xst_net ns ->
-    Xst_net
-      { x_slots = Array.copy ns.x_slots;
-        x_buffers = Array.copy ns.x_buffers;
-        x_bout = Array.copy ns.x_bout;
-        x_subs = Array.map ix_copy_state ns.x_subs }
-
-module Snapshot = struct
-  type t = {
-    sn_ix : indexed;
-    sn_tick : int;
-    sn_state : ix_state; (* private copy, never stepped *)
-    sn_trace : Trace.t;  (* persistent: rows [0, sn_tick) *)
-  }
-
-  let tick s = s.sn_tick
-  let trace s = s.sn_trace
-end
-
-let snapshot_run ?(schedule = Clock.no_events) ~at ~inputs (ix : indexed) =
-  let trace = Trace.make ~flows:(ix.ix_in_ports @ ix.ix_out_ports) in
-  let state = indexed_init ix in
-  let rec go tick trace at acc =
-    match at with
-    | [] -> List.rev acc
-    | t :: rest when t = tick ->
-      if Probe.active () then Probe.hit snapshot_capture;
-      let snap =
-        { Snapshot.sn_ix = ix;
-          sn_tick = tick;
-          sn_state = ix_copy_state state;
-          sn_trace = trace }
-      in
-      go tick trace rest (snap :: acc)
-    | t :: _ ->
-      if t < tick then
-        sim_error "snapshot_run: capture ticks must be sorted ascending"
-      else
-        let trace =
-          ix_run_span ~schedule ~start:tick ~stop:t ~inputs ix state trace
-        in
-        go t trace at acc
-  in
-  go 0 trace at []
-
-let resume_indexed ?(schedule = Clock.no_events) ~ticks ~inputs
-    (snap : Snapshot.t) =
-  if snap.Snapshot.sn_tick > ticks then
-    sim_error "resume_indexed: snapshot is past the requested horizon";
-  if Probe.active () then Probe.hit snapshot_restore;
-  let state = ix_copy_state snap.Snapshot.sn_state in
-  ix_run_span ~schedule ~start:snap.Snapshot.sn_tick ~stop:ticks ~inputs
-    snap.Snapshot.sn_ix state snap.Snapshot.sn_trace
 
 (* ------------------------------------------------------------------ *)
 (* Batched simulation                                                 *)
@@ -880,8 +656,8 @@ let resume_indexed ?(schedule = Clock.no_events) ~ticks ~inputs
    (bool/int/float) paths.  Enum/tuple values and rarely-taken type
    paths fall back to the exact {!Value} operations, and MTD behaviors
    fall back to the per-instance interpreter — semantics are identical
-   to {!run_indexed} by construction and asserted per instance by the
-   test-suite and the E21 bench.
+   to the interpreter ({!run}) by construction and asserted per instance
+   by the test-suite and the E21 bench.
 
    Value encoding: a plane stores a message as a tag byte plus three
    payload lanes (native [int array] for bool/int — exact 63-bit ints —
@@ -1340,44 +1116,52 @@ let rec stage_expr resolve (e : Expr.t) : bkern =
 (* A staged step over one contiguous instance range [lo, hi). *)
 type bstep = benv -> int -> int -> unit
 
+(* One column's copy of a snapshot site's cells: [rows] plane rows at
+   stride 1, or the immutable element a per-column array holds (an STD
+   state index, an interpreter state). *)
+type bcells = Rows of bplanes | Std_state of int | Interp_state of comp_state
+
+(* A snapshot site: [save col] copies column [col]'s cells out, [load
+   cells dst] writes them into column [dst].  Staging is a function of
+   the {!indexed} alone, so every batch compiled from one index
+   registers the same sites in the same order, whatever its width — a
+   snapshot taken in one of them loads into any other. *)
+type bsite = { save : int -> bcells; load : bcells -> int -> unit }
+
 (* Registry of a staged batch's per-instance state.  Every staging
    function that allocates state carrying over from tick to tick
    registers both a reset (all columns back to initial values) and a
-   snapshot site: [site col] copies column [col]'s cells into private
-   storage and returns a writer that deposits them into any destination
-   column.  Per-tick scratch (expression temps, update staging planes,
-   the input planes) is deliberately NOT registered — it is fully
-   rewritten before being read each tick. *)
+   snapshot site.  Per-tick scratch (expression temps, update staging
+   planes, the input planes) is deliberately NOT registered — it is
+   fully rewritten before being read each tick. *)
 type breg = {
   mutable rg_resets : (unit -> unit) list;
-  mutable rg_sites : (int -> int -> unit) list;
+  mutable rg_sites : bsite list;
 }
 
 let reg_reset reg f = reg.rg_resets <- f :: reg.rg_resets
+let reg_site reg site = reg.rg_sites <- site :: reg.rg_sites
+let site_mismatch () = sim_error "batch_restore: snapshot site shape mismatch"
 
 (* Snapshot site over [rows] rows of plane [p]. *)
 let reg_plane_site reg ~stride p rows =
   if rows > 0 then
-    reg.rg_sites <-
-      (fun col ->
-        let tmp = bplanes_make ~stride:1 rows in
-        for r = 0 to rows - 1 do
-          elt_copy p ((r * stride) + col) tmp r
-        done;
-        fun dst ->
-          for r = 0 to rows - 1 do
-            elt_copy tmp r p ((r * stride) + dst)
-          done)
-      :: reg.rg_sites
-
-(* Snapshot site over one cell per column of an ordinary array holding
-   immutable elements (STD state indices, interpreter states). *)
-let reg_cell_site reg ~get ~set =
-  reg.rg_sites <-
-    (fun col ->
-      let v = get col in
-      fun dst -> set dst v)
-    :: reg.rg_sites
+    reg_site reg
+      { save =
+          (fun col ->
+            let tmp = bplanes_make ~stride:1 rows in
+            for r = 0 to rows - 1 do
+              elt_copy p ((r * stride) + col) tmp r
+            done;
+            Rows tmp);
+        load =
+          (fun cells dst ->
+            match cells with
+            | Rows tmp ->
+              for r = 0 to rows - 1 do
+                elt_copy tmp r p ((r * stride) + dst)
+              done
+            | Std_state _ | Interp_state _ -> site_mismatch ()) }
 
 let reg_alloc ~stride ~resets init =
   let p = bplanes_make ~stride 1 in
@@ -1388,7 +1172,7 @@ let reg_alloc ~stride ~resets init =
   reg_plane_site resets ~stride p 1;
   (p, 0)
 
-(* First matching driver wins, as the indexed engine's linear scan. *)
+(* First matching driver wins, as the interpreter's channel search. *)
 let resolve_of (drivers : (string * brow) array) name =
   let n = Array.length drivers in
   let rec find j =
@@ -1406,9 +1190,10 @@ let resolve_of (drivers : (string * brow) array) name =
    (instance axis innermost, branch-light) instead of a per-instance
    kernel call.  Each node's result lives in a one-row plane; [Var],
    [Const] and [Current] results are aliases, so reads cost nothing.
-   This is what makes the batched engine an order of magnitude faster
-   than looping [run_indexed]: the per-node interpretive overhead
-   (closure dispatch, scratch traffic) is amortized over the range. *)
+   This is what makes a wide batch an order of magnitude faster than
+   looping width-1 runs ([run_indexed]): the per-node interpretive
+   overhead (closure dispatch, scratch traffic) is amortized over the
+   range. *)
 
 let[@inline] tag_at p i = Bigarray.Array1.unsafe_get p.bp_tag i
 let[@inline] set_absent p i = Bigarray.Array1.unsafe_set p.bp_tag i tag_absent
@@ -1877,9 +1662,13 @@ let stage_std ~stride ~resets ~resolve
           done)
         vars);
   reg_plane_site resets ~stride var_planes nvars;
-  reg_cell_site resets
-    ~get:(fun c -> Array.unsafe_get state_col c)
-    ~set:(fun c v -> Array.unsafe_set state_col c v);
+  reg_site resets
+    { save = (fun c -> Std_state state_col.(c));
+      load =
+        (fun cells c ->
+          match cells with
+          | Std_state st -> state_col.(c) <- st
+          | Rows _ | Interp_state _ -> site_mismatch ()) };
   let all_sinks = List.map snd sinks in
   let name = std.Model.std_name in
   fun be lo hi ->
@@ -1971,9 +1760,13 @@ let stage_interp ~stride ~resets ~(drivers : (string * brow) array)
       done);
   (* [comp_state] values are immutable, so sharing one across columns is
      safe *)
-  reg_cell_site resets
-    ~get:(fun c -> Array.unsafe_get states c)
-    ~set:(fun c v -> Array.unsafe_set states c v);
+  reg_site resets
+    { save = (fun c -> Interp_state states.(c));
+      load =
+        (fun cells c ->
+          match cells with
+          | Interp_state st -> states.(c) <- st
+          | Rows _ | Std_state _ -> site_mismatch ()) };
   let ndrv = Array.length drivers in
   let sinks = Array.of_list sinks in
   fun be lo hi ->
@@ -2154,6 +1947,7 @@ let rec stage_net ~stride ~resets ~(boundary : string -> brow) (n : ix_net) :
 (* ---------------- Batch compile and drive ------------------------- *)
 
 type batch = {
+  bb_ix : indexed; (* the index it was compiled from *)
   bb_instances : int;
   bb_flows : string list; (* trace flows: declared inputs, then outputs *)
   bb_nflows : int;
@@ -2164,7 +1958,7 @@ type batch = {
   bb_out_rows : brow array; (* per declared output port *)
   bb_step : bstep;
   bb_reset : unit -> unit;
-  bb_sites : (int -> int -> unit) list; (* per-instance snapshot sites *)
+  bb_sites : bsite list; (* per-instance snapshot sites *)
   mutable bb_count : int;
   mutable bb_ticks : int;
   mutable bb_trace : bplanes;
@@ -2256,7 +2050,8 @@ let batch ~instances (ix : indexed) : batch =
   let reset () = List.iter (fun f -> f ()) rs in
   reset ();
   let flows = ix.ix_in_ports @ ix.ix_out_ports in
-  { bb_instances = instances;
+  { bb_ix = ix;
+    bb_instances = instances;
     bb_flows = flows;
     bb_nflows = List.length flows;
     bb_in_rows =
@@ -2330,10 +2125,12 @@ let run_batch ?schedules ?map ?(shards = 1) ?count ?(start = 0) ?stop
     let gen = ref 0 in
     for tick = start to stop - 1 do
       be.b_tick <- tick;
-      if Probe.active () then
+      if Probe.active () then begin
         for _ = lo to hi - 1 do
           Probe.hit sim_ticks
         done;
+        if Probe.spans_on () then Probe.enter ~tick ~cat:"tick" "tick"
+      end;
       for r = 0 to nin_rows - 1 do
         row_fill_absent b.bb_ins (r * stride) lo hi
       done;
@@ -2353,6 +2150,7 @@ let run_batch ?schedules ?map ?(shards = 1) ?count ?(start = 0) ?stop
           offered
       done;
       b.bb_step be lo hi;
+      if Probe.spans_on () then Probe.exit_ ~tick ~cat:"tick" "tick";
       let base = tick * nflows in
       Array.iteri
         (fun f r ->
@@ -2411,10 +2209,10 @@ let batch_trace (b : batch) ~instance =
 (* ---------------- Batched snapshots ------------------------------- *)
 
 type batch_snapshot = {
-  bn_batch : batch;
+  bn_ix : indexed;
   bn_tick : int;
   bn_ticks : int; (* horizon of the span being snapshotted *)
-  bn_writers : (int -> unit) list;
+  bn_cells : bcells list; (* one per site of [bb_sites], in order *)
   bn_trace : Trace.t; (* persistent: rows [0, bn_tick) *)
 }
 
@@ -2437,26 +2235,34 @@ let batch_snapshot (b : batch) ~instance ~tick =
      rows after this one *)
   b.bb_prefix.(instance) <- trace;
   b.bb_prefix_tick.(instance) <- tick;
-  { bn_batch = b;
+  { bn_ix = b.bb_ix;
     bn_tick = tick;
     bn_ticks = b.bb_ticks;
     (* each site copies its column's cells out now, so the snapshot
        stays valid when the source column is stepped on or reused *)
-    bn_writers = List.map (fun site -> site instance) b.bb_sites;
+    bn_cells = List.map (fun site -> site.save instance) b.bb_sites;
     bn_trace = trace }
 
 let batch_snapshot_tick s = s.bn_tick
 
 let batch_restore (b : batch) (snap : batch_snapshot) ~instance =
-  if snap.bn_batch != b then
-    sim_error "batch_restore: snapshot belongs to a different batch";
+  if snap.bn_ix != b.bb_ix then
+    sim_error "batch_restore: snapshot was taken from another index";
   if instance < 0 || instance >= b.bb_instances then
     sim_error "batch_restore: instance %d out of range (batch holds %d)"
       instance b.bb_instances;
   if b.bb_ticks <> snap.bn_ticks then
-    sim_error "batch_restore: batch horizon changed since capture (%d vs %d)"
+    sim_error "batch_restore: horizon %d differs from the capture run's %d"
       b.bb_ticks snap.bn_ticks;
   if Probe.active () then Probe.hit snapshot_restore;
-  List.iter (fun w -> w instance) snap.bn_writers;
+  List.iter2 (fun site cells -> site.load cells instance) b.bb_sites
+    snap.bn_cells;
   b.bb_prefix.(instance) <- snap.bn_trace;
   b.bb_prefix_tick.(instance) <- snap.bn_tick
+
+(* ---------------- Width-1 runs ------------------------------------ *)
+
+let run_indexed ?(schedule = Clock.no_events) ~ticks ~inputs (ix : indexed) =
+  let b = batch ~instances:1 ix in
+  run_batch ~schedules:(fun _ -> schedule) ~ticks ~inputs:(fun _ -> inputs) b;
+  batch_trace b ~instance:0

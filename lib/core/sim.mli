@@ -57,102 +57,26 @@ val no_inputs : input_fn
     {!step} resolves channels and components by name on every tick; for
     long runs, {!index} lowers the component once: the routing (driving
     channel per input port, evaluation order, boundary collection) is
-    precomputed, components, ports and channels are numbered, sub-states,
-    delay registers and per-tick outputs live in pre-sized arrays
-    mutated in place, and finding a port's driving channel is an array
-    read instead of a per-port assoc scan.  An {!indexed} value is immutable — all
-    run-time mutation happens inside the {!ix_state} created fresh by
-    each {!indexed_init} call, so one indexed component can drive many
-    concurrent simulations (including from different domains).  The
-    interpreted engine ({!run}) is the oracle: every lowered engine
-    produces traces identical to it (asserted in the test-suite); the
-    speedup is measured by the E17 bench section. *)
+    precomputed and components, ports and channels are numbered.  An
+    {!indexed} value is immutable, so one indexed component can feed
+    many concurrent simulations (including from different domains).  It
+    is the input of the batch compiler ({!batch}), which every lowered
+    simulation runs through.  The interpreted engine ({!run}) is the
+    oracle: every lowered run produces traces identical to it (asserted
+    in the test-suite); the speedup is measured by the E17 bench
+    section. *)
 
 type indexed
 
 val index : Model.component -> indexed
 (** @raise Sim_error on instantaneous loops (as {!init}). *)
 
-type ix_state
-(** Mutable run-time state of one indexed simulation: pre-sized slot,
-    register and sub-state arrays, updated in place each tick. *)
-
-val indexed_init : indexed -> ix_state
-(** A fresh, independent state (arrays are not shared between calls). *)
-
-val indexed_step :
-  ?schedule:Clock.schedule -> tick:int ->
-  inputs:(string -> Value.message) -> indexed -> ix_state ->
-  (string * Value.message) list
-(** One synchronous step, mutating [ix_state] in place.  Reports every
-    declared output port, absent if not computed — exactly as {!step}. *)
-
 val run_indexed :
   ?schedule:Clock.schedule -> ticks:int -> inputs:input_fn -> indexed ->
   Trace.t
-(** Like {!run}, over an indexed component (one fresh {!indexed_init}
-    per call). *)
-
-(** {1 Snapshots}
-
-    First-class checkpoints of an indexed run, the substrate for
-    prefix-sharing campaign execution ([Robust.Prefix]): when many
-    scenarios agree on a stimulus prefix, the prefix is simulated once,
-    snapshotted at each divergence tick, and only the suffixes replay.
-
-    {b Determinism contract.}  Snapshot capture copies the complete
-    mutable run state — every value slot, delay register, boundary
-    output and sub-component state (STD states and variables, MTD mode
-    history, [Pre]/[Current] registers), recursively — in
-    O(slots + registers) time, without touching the model.  Resuming a
-    snapshot taken at tick [t] and running to [ticks] therefore replays
-    {e exactly} the loop iterations [t..ticks-1] of a straight
-    {!run_indexed}: if the resumed [inputs] and [schedule] agree with
-    the capture run on every tick [>= t], the resulting trace is
-    byte-identical to the straight run's — independent of how many
-    snapshots were taken, of resume order, and of which domain resumes
-    (a resume never mutates the snapshot; each call steps a private
-    copy).  Asserted at [cmp] level by the test-suite across faulted,
-    guarded and replicated nets, including mid-silence-window capture
-    points.
-
-    Probe counters [sim.snapshot.capture] / [sim.snapshot.restore]
-    count captures and resumes; like all probes they are no-ops without
-    an installed sink, so default reports are unaffected. *)
-
-module Snapshot : sig
-  type t
-  (** An immutable checkpoint: the capture tick, a private copy of the
-      run state, and the (persistent) trace prefix up to the capture
-      tick. *)
-
-  val tick : t -> int
-  (** The tick at which the snapshot was captured. *)
-
-  val trace : t -> Trace.t
-  (** The trace rows recorded before the capture tick.  Persistent —
-      shared structurally by every resumed run, so N suffixes of one
-      prefix cost no prefix re-recording. *)
-end
-
-val snapshot_run :
-  ?schedule:Clock.schedule -> at:int list -> inputs:input_fn -> indexed ->
-  Snapshot.t list
-(** Run one simulation from tick 0, capturing a snapshot at each tick
-    in [at] (sorted ascending, duplicates allowed; a capture at tick
-    [t] happens before tick [t]'s step, so [at = [0]] checkpoints the
-    initial state).  The run stops at the last capture tick.  Returns
-    the snapshots in capture order.
-    @raise Sim_error when [at] is not sorted ascending. *)
-
-val resume_indexed :
-  ?schedule:Clock.schedule -> ticks:int -> inputs:input_fn -> Snapshot.t ->
-  Trace.t
-(** Continue a snapshot to [ticks] total ticks (ticks [t..ticks-1] are
-    simulated, where [t] is the capture tick).  See the determinism
-    contract above: byte-identical to the straight run whenever the
-    suffix stimulus and schedule agree with the capture run's prefix.
-    @raise Sim_error when the snapshot lies past [ticks]. *)
+(** Like {!run}, over an indexed component: compiles a fresh one-instance
+    {!batch} and steps it over [\[0, ticks)].
+    @raise Sim_error when [ticks] is negative. *)
 
 (** {1 Batched simulation}
 
@@ -180,8 +104,8 @@ val resume_indexed :
     per-instance interpreter.  Slow paths (enum/tuple payloads, mixed
     types, errors) decode back to the same {!Value} operations as the
     interpreter, so traces, error messages and probe counter totals are
-    identical to {!run_indexed} — asserted per instance by the
-    test-suite and pinned by bench section E21.
+    identical to the interpreter's ({!run}) — asserted per instance by
+    the test-suite and pinned by bench section E21.
 
     {b Instance-axis invariants.}  Instances never interact: each owns
     disjoint plane columns, so any contiguous instance range can be
@@ -192,9 +116,10 @@ val resume_indexed :
     {b Determinism contract.}  [run_batch] over instances
     [0..count-1] with stimulus [inputs i] and schedule [schedules i]
     yields, for every [i], a {!batch_trace} byte-identical to
-    [run_indexed ~schedule:(schedules i) ~ticks ~inputs:(inputs i)] —
-    independent of [shards], of the [map] executor, and of how
-    instances are packed into batches.  If a step raises (e.g.
+    [run ~schedule:(schedules i) ~ticks ~inputs:(inputs i)] on the
+    indexed component — independent of [shards], of the [map]
+    executor, and of how instances are packed into batches (one
+    instance per batch is {!run_indexed}).  If a step raises (e.g.
     [Sim_error] on an evaluation failure), the whole run aborts; which
     instance's error surfaces is unspecified when several fail. *)
 
@@ -249,23 +174,47 @@ val run_batch :
 
 val batch_trace : batch -> instance:int -> Trace.t
 (** The trace instance [instance] produced in the most recent
-    {!run_batch} — byte-identical to the {!run_indexed} trace under the
-    same stimulus and schedule.  A column restored from a snapshot
+    {!run_batch} — byte-identical to the {!run} trace under the same
+    stimulus and schedule.  A column restored from a snapshot
     captured at tick [t] returns the snapshot's persistent trace
     prefix with only rows [\[t, ticks)] built from the planes, in
     O((ticks - t) × flows); the prefix is shared, not copied.
     @raise Sim_error when [instance] is outside the last run. *)
+
+(** {1 Snapshots}
+
+    First-class checkpoints of a batched run, the substrate for
+    prefix-sharing campaign execution ([Robust.Prefix]): when many
+    scenarios agree on a stimulus prefix, the prefix is simulated once,
+    snapshotted at each divergence tick, and only the suffixes replay.
+
+    {b Determinism contract.}  Capture copies the complete carried state
+    of one column — every value slot, delay register, boundary output
+    and sub-component state (STD states and variables, MTD mode
+    history, [Pre]/[Current] registers), recursively — in O(sites)
+    time, without touching the model.  A snapshot restores into any
+    column of any batch compiled from the same {!indexed} (whatever its
+    width) whose horizon is the capture run's.  Restoring a snapshot
+    taken at tick [t] and running [\[t, ticks)] with [~reset:false]
+    replays {e exactly} the loop iterations a straight run executes for
+    that column: if the resumed stimulus and schedule agree with the
+    capture run on every tick [>= t], the column's trace is
+    byte-identical to the straight run's — independent of how many
+    snapshots were taken, of restore order, and of which batch or
+    domain resumes (a restore never mutates the snapshot).  Asserted at
+    [cmp] level by the test-suite across faulted, guarded and
+    replicated nets, including mid-silence-window capture points.
+
+    Probe counters [sim.snapshot.capture] / [sim.snapshot.restore]
+    count captures and restores; like all probes they are no-ops
+    without an installed sink, so default reports are unaffected. *)
 
 type batch_snapshot
 (** A checkpoint of one instance column of a batch: the capture tick,
     every snapshot site's cells for that column (copied out, so the
     column may be stepped on or reused) and the column's trace before
     the capture tick as one persistent {!Trace.t}, shared by every
-    column it is restored into and by their {!batch_trace}s.  The
-    batched counterpart of {!Snapshot.t}, with the same determinism
-    contract: [batch_restore] into any column followed by a
-    [~reset:false] span [\[t, ticks)] replays exactly the loop
-    iterations a straight run would execute for that column. *)
+    column it is restored into and by their {!batch_trace}s. *)
 
 val batch_snapshot : batch -> instance:int -> tick:int -> batch_snapshot
 (** Capture instance [instance]'s state; the column must have been
@@ -287,8 +236,11 @@ val batch_restore : batch -> batch_snapshot -> instance:int -> unit
     forking one snapshot across the instance axis is the point) and
     make its trace prefix the column's, in O(sites): no trace cell is
     copied, and the column's trace before the capture tick is the
-    snapshot's from then on.  The snapshot must come from this batch
-    and the batch's horizon must be unchanged since capture.  Follow
-    with [run_batch ~reset:false ~start:(batch_snapshot_tick snap)]; a
-    span starting earlier is rejected.  Hits [sim.snapshot.restore].
-    @raise Sim_error on batch mismatch or horizon change. *)
+    snapshot's from then on.  The snapshot must come from a batch
+    compiled from the same {!indexed} as this one (this batch or
+    another, of any width), and this batch's last {!run_batch} must
+    have had the capture run's horizon.  Follow with
+    [run_batch ~reset:false ~start:(batch_snapshot_tick snap)]; a span
+    starting earlier is rejected.  Hits [sim.snapshot.restore].
+    @raise Sim_error on a snapshot of another index or a different
+    horizon. *)

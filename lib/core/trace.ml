@@ -19,7 +19,7 @@ let record t tick_msgs =
 
 (* The caller guarantees [tick_msgs] covers every flow, in flow order —
    the per-flow assoc projection of [record] is skipped entirely (the
-   indexed engine's tick loop builds its rows in flow order already). *)
+   batched engine builds its rows in flow order already). *)
 let record_ordered t tick_msgs = { t with rev_ticks = tick_msgs :: t.rev_ticks }
 
 let length t = List.length t.rev_ticks

@@ -2,16 +2,16 @@ open Automode_core
 open Automode_obs
 
 (* The campaign executor: checkpointed prefix-sharing execution, which
-   degenerates to plain looped or batched execution when nothing forks
+   degenerates to plain batched runs from tick 0 when nothing forks
    late or sharing is off.
 
    Every case of a campaign simulates the same compiled net under the
    same base stimulus until its fault catalog first takes effect
    ({!Fault.first_effect_tick}).  Instead of re-simulating that shared
    prefix per case, the executor runs the fault-free trunk once,
-   snapshots it where cases resume ({!Sim.snapshot_run} /
-   {!Sim.batch_snapshot}), and replays only the per-case suffixes.
-   Byte-identity with the looped execution holds by construction:
+   snapshots it where cases resume ({!Sim.batch_snapshot}), and replays
+   only the per-case suffixes.  Byte-identity with straight runs holds
+   by construction:
 
    - below its fork tick a case's stimulus and schedule are identical
      to the base ones (every fault kind passes the original message
@@ -19,26 +19,25 @@ open Automode_obs
      events at active ticks), so the trunk's loop iterations are
      exactly the iterations the case itself would have executed — at
      any resume tick up to the case's fork tick;
-   - a snapshot resume replays exactly the remaining loop iterations of
-     a straight run (see the {!Sim.Snapshot} contract).
+   - a restored snapshot replays exactly the remaining loop iterations
+     of a straight run (the snapshot contract of {!Sim.batch_restore}).
 
-   Looped, each case resumes at its own fork tick.  Batched, the cases
+   At width 1 each case resumes at its own fork tick.  Wider, the cases
    are stably sorted by fork tick and cut into chunks of the batch
    width; a chunk resumes at its smallest fork tick (the first lemma
    lets its later-forking cases start there too), so the batch always
    runs at full width and the trunk is snapshotted at most once per
-   chunk.  A restored column shares the snapshot's trace prefix
-   ({!Sim.batch_restore}).
+   chunk.  A restored column shares the snapshot's trace prefix.
 
    Callers whose [~schedule] is NOT derived from the fault list via
    {!Fault.schedule_of_faults} must guarantee the same property
    themselves (schedule agreeing with the fault-free one below the
    first activation) or disable sharing.
 
-   Each trace goes to the consumer [f] as soon as it is complete — in
-   the worker that simulated it when looped, right after its chunk when
-   batched — so a sweep that keeps only [f]'s results (verdicts) holds
-   one trace per worker or one chunk of traces, never the whole sweep. *)
+   Each trace goes to the consumer [f] as soon as its chunk is done, in
+   the worker that ran the chunk, so a sweep that keeps only [f]'s
+   results (verdicts) holds one chunk of traces per worker, never the
+   whole sweep. *)
 
 let map ?(domains = 1) ?(instances = 1) ?(share = true) ~ix ~ticks
     ~base_inputs ~base_schedule
@@ -54,16 +53,17 @@ let map ?(domains = 1) ?(instances = 1) ?(share = true) ~ix ~ticks
         if share then Fault.first_effect_tick faults ~horizon:ticks else 0)
       cases
   in
-  let width = min instances n in
-  (* the cases stably sorted by fork tick ([order.(k)] is the k-th),
-     cut into chunks of [width]: a case resumes at its chunk's smallest
-     fork tick — its own when looped; earlier is sound, since below its
-     own fork tick a case agrees with the trunk *)
+  let width = max 1 (min instances n) in
+  (* the cases cut into chunks of [width]: width 1 keeps case order;
+     wider chunks take the cases stably sorted by fork tick
+     ([order.(k)] is the k-th), and a case resumes at its chunk's
+     smallest fork tick — earlier than its own is sound, since below
+     its own fork tick a case agrees with the trunk *)
   let order = Array.init n Fun.id in
-  Array.stable_sort (fun i j -> Int.compare forks.(i) forks.(j)) order;
+  if width > 1 then
+    Array.stable_sort (fun i j -> Int.compare forks.(i) forks.(j)) order;
   let resume = Array.make n 0 in
-  let chunk = max 1 width in
-  Array.iteri (fun k i -> resume.(i) <- forks.(order.(k - (k mod chunk)))) order;
+  Array.iteri (fun k i -> resume.(i) <- forks.(order.(k - (k mod width)))) order;
   (* trunk snapshots: one per distinct late resume tick; a case that
      resumes at tick 0 runs from scratch *)
   let late = List.filter (fun t -> t > 0) (Array.to_list resume) in
@@ -80,75 +80,91 @@ let map ?(domains = 1) ?(instances = 1) ?(share = true) ~ix ~ticks
            (List.fold_left max 0 at) resume)
       "campaign.prefix.replayed_ticks"
   end;
-  if width <= 1 then begin
-    (* looped: one serial trunk run captures every snapshot, then the
-       cases run in case order over [domains] (a resume steps a private
-       copy of the snapshot state), each trace consumed by [f] in the
-       worker that simulated it *)
-    let trunk =
-      List.combine at
-        (Sim.snapshot_run ~schedule:base_schedule ~at ~inputs:base_inputs ix)
-    in
-    Array.of_list
-      (Parallel.map ~domains
-         (fun i ->
-           let _, inputs, schedule = cases.(i) in
-           f i
-             (match List.assoc_opt resume.(i) trunk with
-              | Some snap -> Sim.resume_indexed ~schedule ~ticks ~inputs snap
-              | None -> Sim.run_indexed ~schedule ~ticks ~inputs ix))
-         (List.init n Fun.id))
-  end
-  else begin
-    (* batched: the trunk advances column 0 span by span, capturing a
-       snapshot at each tick of [at]; each chunk then restores its
-       snapshot across the instance axis (or, at tick 0, resets) and
-       replays [resume, ticks) at full width *)
+  (* a batch at this horizon: a restore needs the batch's last run to
+     have had the capture run's horizon, which an empty span sets *)
+  let fresh () =
     let b = Sim.batch ~instances:width ix in
-    let start = ref 0 in
-    let trunk =
-      List.mapi
-        (fun k t ->
-          Sim.run_batch ~count:1 ~start:!start ~stop:t ~reset:(k = 0) ~ticks
-            ~inputs:(fun _ -> base_inputs)
-            ~schedules:(fun _ -> base_schedule)
-            b;
-          start := t;
-          (t, Sim.batch_snapshot b ~instance:0 ~tick:t))
-        at
-    in
-    let out = Array.make n None in
-    for c = 0 to (n - 1) / width do
-      let lo = c * width in
-      let count = min width (n - lo) in
-      let case j = cases.(order.(lo + j)) in
-      let t = resume.(order.(lo)) in
-      let snap = List.assoc_opt t trunk in
-      Option.iter
-        (fun s ->
-          for j = 0 to count - 1 do
-            Sim.batch_restore b s ~instance:j
-          done)
-        snap;
-      Sim.run_batch ~count ~start:t ~reset:(Option.is_none snap) ~ticks
-        ~inputs:(fun j ->
-          let _, inputs, _ = case j in
-          inputs)
-        ~schedules:(fun j ->
-          let _, _, schedule = case j in
-          schedule)
-        ~shards:domains
-        ~map:(fun thunks ->
-          ignore (Parallel.map ~domains (fun f -> f ()) thunks))
-        b;
-      (* consume before the next chunk reuses the columns *)
-      for j = 0 to count - 1 do
+    Sim.run_batch ~stop:0 ~ticks ~inputs:(fun _ -> base_inputs) b;
+    b
+  in
+  (* the trunk advances column 0 span by span, capturing a snapshot at
+     each tick of [at] *)
+  let b0 = fresh () in
+  let start = ref 0 in
+  let trunk =
+    List.map
+      (fun t ->
+        Sim.run_batch ~count:1 ~start:!start ~stop:t ~reset:false ~ticks
+          ~inputs:(fun _ -> base_inputs)
+          ~schedules:(fun _ -> base_schedule)
+          b0;
+        start := t;
+        (t, Sim.batch_snapshot b0 ~instance:0 ~tick:t))
+      at
+  in
+  (* chunk [c] restores its snapshot across the instance axis (or, at
+     tick 0, resets) and replays [resume, ticks); [f] consumes each
+     trace before the next chunk reuses the columns *)
+  let run_chunk ?map ?shards b c =
+    let lo = c * width in
+    let count = min width (n - lo) in
+    let case j = cases.(order.(lo + j)) in
+    let t = resume.(order.(lo)) in
+    let snap = List.assoc_opt t trunk in
+    Option.iter
+      (fun s ->
+        for j = 0 to count - 1 do
+          Sim.batch_restore b s ~instance:j
+        done)
+      snap;
+    Sim.run_batch ~count ~start:t ~reset:(Option.is_none snap) ~ticks
+      ~inputs:(fun j ->
+        let _, inputs, _ = case j in
+        inputs)
+      ~schedules:(fun j ->
+        let _, _, schedule = case j in
+        schedule)
+      ?shards ?map b;
+    List.init count (fun j ->
         let i = order.(lo + j) in
-        out.(i) <- Some (f i (Sim.batch_trace b ~instance:j))
-      done
-    done;
-    Array.map Option.get out
-  end
+        (i, f i (Sim.batch_trace b ~instance:j)))
+  in
+  let chunks = List.init ((n + width - 1) / width) Fun.id in
+  let results =
+    if width = 1 then begin
+      (* one case per chunk, fanned out over [domains] in case order:
+         each worker takes an idle batch (the trunk's first) or
+         compiles its own, so no two run on one batch *)
+      let idle = Atomic.make [ b0 ] in
+      let rec take () =
+        match Atomic.get idle with
+        | [] -> fresh ()
+        | b :: rest as l ->
+          if Atomic.compare_and_set idle l rest then b else take ()
+      in
+      let rec give b =
+        let l = Atomic.get idle in
+        if not (Atomic.compare_and_set idle l (b :: l)) then give b
+      in
+      Parallel.map ~domains
+        (fun c ->
+          let b = take () in
+          let r = run_chunk b c in
+          give b;
+          r)
+        chunks
+    end
+    else
+      (* wider chunks run one after another, each sharding its instance
+         axis over [domains] *)
+      List.map
+        (run_chunk b0 ~shards:domains ~map:(fun thunks ->
+             ignore (Parallel.map ~domains (fun f -> f ()) thunks)))
+        chunks
+  in
+  let out = Array.make n None in
+  List.iter (List.iter (fun (i, r) -> out.(i) <- Some r)) results;
+  Array.map Option.get out
 
 let traces ?domains ?instances ?share ~ix ~ticks ~base_inputs ~base_schedule
     cases =

@@ -9,14 +9,14 @@
     executor therefore simulates the fault-free {e trunk} once,
     snapshots it where cases resume (at or before their first-effect
     tick, {!Fault.first_effect_tick}), and replays only the per-case
-    suffixes — byte-identical to looping [run_indexed] by construction
-    (asserted by the test-suite for all five campaign kinds, pinned by
-    bench section E22).
+    suffixes — byte-identical to simulating every case from tick 0 by
+    construction (asserted by the test-suite for all five campaign
+    kinds, pinned by bench section E22).
 
     Probe counters (no-ops without a sink, as all probes), counted only
     with sharing on, measure the work the plan actually does.  A case's
-    {e resume tick} is its fork tick on the looped plan and its chunk's
-    smallest fork tick on the batched one:
+    {e resume tick} is its fork tick at width 1 and its chunk's
+    smallest fork tick on a wider batch:
     - [campaign.prefix.groups] — trunk snapshots taken, one per distinct
       resume tick after 0 (not counted when there is none);
     - [campaign.prefix.forks] — cases resumed from a snapshot;
@@ -49,26 +49,26 @@ val map :
     list before its first activation must pass [~share:false].
 
     Each case forks at its first fault effect with [~share:true] (the
-    default), at tick 0 for every case with [~share:false].  With
-    [min instances (length cases) <= 1] (default [instances] 1) the
-    cases run one by one, in case order, fanned out over a [domains]
-    (default 1) {!Parallel.map} pool: [run_indexed], or
-    [resume_indexed] from the trunk snapshot at the case's fork tick
-    when that is after 0.  Otherwise the cases, stably sorted by fork
-    tick, are cut into chunks of that width and stepped through one
-    {!Sim.batch}, its instance axis sharded over [domains]; a chunk
+    default), at tick 0 for every case with [~share:false].  The cases
+    are cut into chunks of width [min instances (length cases)]
+    (default [instances] 1), and every chunk runs the same way: it
     resumes at its smallest fork tick — restored from the trunk
-    snapshot there ([batch_restore] plus a [~reset:false] span), or
-    reset and run from tick 0 — so the trunk is snapshotted at most
-    once per chunk.  The traces are byte-identical under every plan.
+    snapshot there ({!Sim.batch_restore} plus a [~reset:false] span),
+    or reset and run from tick 0 — so the trunk is snapshotted at most
+    once per chunk.  At width 1 every case is its own chunk, and the
+    chunks run in case order, fanned out over a [domains] (default 1)
+    {!Parallel.map} pool, each worker on its own one-instance
+    {!Sim.batch}.  Wider, the cases are stably sorted by fork tick
+    before they are cut, and the chunks run one after another on one
+    batch, its instance axis sharded over [domains].  The traces are
+    byte-identical under every plan.
 
-    [f] consumes each trace as soon as it is complete, so a sweep that
-    keeps only what [f] returns never holds its traces:
+    [f] consumes each trace as soon as its chunk is done, so a sweep
+    that keeps only what [f] returns never holds its traces:
     - [f] is called exactly once per case;
-    - looped, it runs right after the case's [run_indexed] /
-      [resume_indexed], in case order on each worker, on a worker
-      domain under [domains > 1];
-    - batched, it runs on the calling domain right after each chunk's
+    - at width 1, it runs right after the case's run, in case order on
+      each worker, on a worker domain under [domains > 1];
+    - wider, it runs on the calling domain right after each chunk's
       simulation, before the next chunk reuses the columns — in chunk
       order, that is with the cases sorted by fork tick.
     [f] must therefore be pure, or at least insensitive to call order

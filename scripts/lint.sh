@@ -106,16 +106,27 @@ report "unused exported value (remove it, or use it)"
 
 # Every backticked `Module.name` in README.md, DESIGN.md and docs/*.md
 # whose Module is a library module (a lib/*/<module>.mli, or
-# lib/workloads/workloads.ml, which has no interface) must name a `val`
-# or `type` declared there, so a deleted or renamed value takes its
-# docs along.  A qualified path's last module counts
-# (`Serve.Digest.component` checks `Digest`).
+# lib/workloads/workloads.ml, which has no interface) must name a `val`,
+# `type`, `module`, `exception` or constructor declared there, so a
+# deleted or renamed value takes its docs along.  Each step of a
+# qualified path whose module is a library module counts
+# (`Serve.Digest.component` checks `Digest`, `Sim.Snapshot.t` checks
+# `Sim`).
 decls=$(mktemp)
 trap 'rm -f "$tmp" "$vals" "$decls"' EXIT
 {
   for f in lib/*/*.mli; do
     awk -v mod="$(basename "$f" .mli)" '
-      /^[ \t]*(val|external) / { n = $2 }
+      /^[ \t]*(val|external|module|exception) / { n = $2 }
+      {
+        line = $0
+        while (match(line, /(^|[|=])[ \t]*[A-Z][A-Za-z0-9_\x27]*/)) {
+          c = substr(line, RSTART, RLENGTH)
+          line = substr(line, RSTART + RLENGTH)
+          sub(/^[|=]?[ \t]*/, "", c)
+          print toupper(substr(mod, 1, 1)) substr(mod, 2), c
+        }
+      }
       /^[ \t]*(type|and) / {
         n = $0
         sub(/^[ \t]*(type|and)[ \t]+(nonrec[ \t]+)?/, "", n)
@@ -140,16 +151,19 @@ awk '
     n = split($0, part, "`")
     for (i = 2; i <= n; i += 2) {
       span = part[i]
-      while (match(span, /[A-Z][A-Za-z0-9_]*\.[a-z_][A-Za-z0-9_\x27]*/)) {
+      while (match(span,
+          /[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9_]*)*\.[A-Za-z_][A-Za-z0-9_\x27]*/)) {
         ref = substr(span, RSTART, RLENGTH)
         pre = substr(span, 1, RSTART - 1)
         span = substr(span, RSTART + RLENGTH)
         if (pre ~ /[A-Za-z0-9_]$/) continue
-        dot = index(ref, ".")
-        m = substr(ref, 1, dot - 1); v = substr(ref, dot + 1)
-        if ((m in lib) && !((m SUBSEP v) in declared))
-          printf "%s:%d: `%s` names no val or type of %s\n", FILENAME, FNR,
-            ref, m
+        k = split(ref, step, ".")
+        for (j = 1; j < k; j++) {
+          m = step[j]; v = step[j + 1]
+          if ((m in lib) && !((m SUBSEP v) in declared))
+            printf "%s:%d: `%s` names nothing %s declares\n", FILENAME, FNR,
+              ref, m
+        }
       }
     }
   }

@@ -1207,7 +1207,8 @@ let test_prefix_degenerate_tick0 () =
     (Report.to_text (Scenario.sweep ~shrink:false ~instances:4 scn ~seeds))
 
 (* Direct executor check: traces come back in case order and equal the
-   per-case run_indexed; the probe counters fire only under a sink. *)
+   per-case interpreted run; the probe counters fire only under a
+   sink. *)
 let test_prefix_traces_and_counters () =
   let ix = Sim.index Door_lock.component in
   let ticks = 40 in
@@ -1229,9 +1230,9 @@ let test_prefix_traces_and_counters () =
   Array.iteri
     (fun i (_, inputs, _) ->
       checkb
-        (Printf.sprintf "case %d equals run_indexed" i)
+        (Printf.sprintf "case %d equals interpreted" i)
         true
-        (Trace.equal shared.(i) (Sim.run_indexed ~ticks ~inputs ix)))
+        (Trace.equal shared.(i) (Sim.run ~ticks ~inputs Door_lock.component)))
     cases;
   let v k = Option.value ~default:0 (Automode_obs.Metrics.value m k) in
   checki "three distinct fork ticks" 3 (v "campaign.prefix.groups");
@@ -1244,16 +1245,16 @@ let test_prefix_traces_and_counters () =
 
 (* The executor under every plan: a catalog mixing tick-0 and late
    forks (fork ticks 0, 12, 20, 27), 10 cases — not a multiple of the
-   batch width 3.  Every trace equals its case's run_indexed; the serial
-   prefix and snapshot counters are pinned by hand.
+   batch width 3.  Every trace equals its case's interpreted run; the
+   serial prefix and snapshot counters are pinned by hand.
 
-   Looped, each case resumes at its own fork tick: forks 0,12,20,27
+   At width 1, each case resumes at its own fork tick: forks 0,12,20,27
    repeat over cases 0..9, so three cases fork at 0 and 12 and two at
    20 and 27.  The trunk snapshots 12, 20, 27 (groups 3, capture 3);
    7 cases resume (forks 7, restore 7); shared = 3*12 + 2*20 + 2*27 =
    130; replayed = 27 (trunk) + 3*40 + 3*28 + 2*20 + 2*13 = 297.
 
-   Batched, the stably sorted forks 0,0,0 | 12,12,12 | 20,20,27 | 27
+   At width 3, the stably sorted forks 0,0,0 | 12,12,12 | 20,20,27 | 27
    are cut into chunks of 3 that resume at their smallest fork: 0
    (reset, no snapshot), 12, 20 and 27.  The trunk snapshots 12, 20,
    27 (groups 3, capture 3); 3 + 3 + 1 = 7 cases resume (forks 7,
@@ -1293,8 +1294,9 @@ let test_prefix_executor_plans () =
       in
       Array.iteri
         (fun i (_, inputs, _) ->
-          checkb (Printf.sprintf "%s: case %d equals run_indexed" plan i) true
-            (Trace.equal traces.(i) (Sim.run_indexed ~ticks ~inputs ix)))
+          checkb (Printf.sprintf "%s: case %d equals interpreted" plan i) true
+            (Trace.equal traces.(i)
+               (Sim.run ~ticks ~inputs Door_lock.component)))
         cases;
       if domains = 1 then
         Alcotest.(check (list (option int)))
@@ -1319,7 +1321,7 @@ let late_dropout_cases ~ticks =
    distinct late fork ticks (case i drops FZG_V from tick 100 + i) are
    sorted into chunks of 16 that resume at ticks 100, 116 and 132, so
    the trunk is captured ceil(40 / 16) = 3 times, not once per fork
-   tick.  Every trace still equals its case's run_indexed. *)
+   tick.  Every trace still equals its case's interpreted run. *)
 let test_prefix_full_width () =
   let ix = Sim.index Door_lock.component in
   let ticks = 160 and base = Door_lock.crash_scenario in
@@ -1336,9 +1338,10 @@ let test_prefix_full_width () =
       Array.iteri
         (fun i (_, inputs, _) ->
           checkb
-            (Printf.sprintf "j%d: case %d equals run_indexed" domains i)
+            (Printf.sprintf "j%d: case %d equals interpreted" domains i)
             true
-            (Trace.equal traces.(i) (Sim.run_indexed ~ticks ~inputs ix)))
+            (Trace.equal traces.(i)
+               (Sim.run ~ticks ~inputs Door_lock.component)))
         cases;
       let v k = Automode_obs.Metrics.value m k in
       Alcotest.(check (option int))
@@ -1352,14 +1355,14 @@ let test_prefix_full_width () =
 (* The streaming contract of [Prefix.map], on the late-dropout catalog
    above under sharing x instances x domains: [f] runs exactly once per
    case, the results come back in case order, every trace handed to [f]
-   equals its case's run_indexed, and no trace outlives its consumer.
-   Inside [f], after a full major collection, a weak pointer to the
-   trace of an earlier chunk must be empty — batched, the chunks of 16
-   follow case order on this catalog (fork ticks rise with the case, or
-   are all 0 without sharing, and the sort is stable); looped, every
-   earlier case is its own chunk, but only cases that finished on the
-   calling domain count, since the other domain may still be consuming
-   its own. *)
+   equals its case's interpreted run, and no trace outlives its
+   consumer.  Inside [f], after a full major collection, a weak pointer
+   to the trace of an earlier chunk must be empty — at width 16, the
+   chunks follow case order on this catalog (fork ticks rise with the
+   case, or are all 0 without sharing, and the sort is stable); at
+   width 1, every earlier case is its own chunk, but only cases that
+   finished on the calling domain count, since the other domain may
+   still be consuming its own. *)
 let test_prefix_map_streams () =
   let ix = Sim.index Door_lock.component in
   let ticks = 160 in
@@ -1380,7 +1383,7 @@ let test_prefix_map_streams () =
         calls.(i) <- calls.(i) + 1;
         domain_of.(i) <- (Domain.self () :> int);
         let _, inputs, _ = cases.(i) in
-        let same = Trace.equal tr (Sim.run_indexed ~ticks ~inputs ix) in
+        let same = Trace.equal tr (Sim.run ~ticks ~inputs Door_lock.component) in
         Gc.full_major ();
         let held =
           Mutex.protect lock (fun () ->
@@ -1400,7 +1403,7 @@ let test_prefix_map_streams () =
         (fun i (j, same, held) ->
           checki (Printf.sprintf "%s: case %d called once" plan i) 1 calls.(i);
           checki (Printf.sprintf "%s: result %d in case order" plan i) i j;
-          checkb (Printf.sprintf "%s: case %d equals run_indexed" plan i)
+          checkb (Printf.sprintf "%s: case %d equals interpreted" plan i)
             true same;
           Alcotest.(check (list int))
             (Printf.sprintf "%s: case %d, no earlier trace held" plan i)

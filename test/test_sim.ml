@@ -748,8 +748,8 @@ let test_stdblocks_debounce () =
 (* Compiled simulation                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The engines that compile a model once — indexed and batched (one
-   instance) — against the interpreted oracle. *)
+(* The two entry points of the compiled engine — [run_indexed] and an
+   explicit one-instance batch — against the interpreted oracle. *)
 let compiled_traces ?schedule comp ~ticks ~inputs =
   let ix = Sim.index comp in
   let b = Sim.batch ~instances:1 ix in
@@ -928,25 +928,6 @@ let test_indexed_mtd_under_ssd () =
         ("desired", present_f 10.);
         ("current", present_f (float_of_int t)) ])
 
-let test_indexed_reentrant () =
-  (* one indexed value, two independent states: advancing one must not
-     disturb the other (fresh arrays per indexed_init) *)
-  let ix = Sim.index counter in
-  let st1 = Sim.indexed_init ix in
-  let st2 = Sim.indexed_init ix in
-  let inputs port =
-    if String.equal port "step" then present_i 1 else Value.Absent
-  in
-  for tick = 0 to 3 do
-    ignore (Sim.indexed_step ~tick ~inputs ix st1)
-  done;
-  let o2 = Sim.indexed_step ~tick:0 ~inputs ix st2 in
-  checkb "fresh state unaffected by sibling state" true
-    (Value.equal_message (List.assoc "count" o2) (present_i 1));
-  let o1 = Sim.indexed_step ~tick:4 ~inputs ix st1 in
-  checkb "advanced state keeps its own registers" true
-    (Value.equal_message (List.assoc "count" o1) (present_i 5))
-
 let test_indexed_rejects_loops () =
   let comp = Dfd.of_network (loop_net ~delayed:false) in
   checkb "index raises on instantaneous loop" true
@@ -957,7 +938,7 @@ let test_indexed_rejects_loops () =
 (* ------------------------------------------------------------------ *)
 
 (* The batch determinism contract: every instance of a batch must
-   reproduce the [run_indexed] trace of its own stimulus and schedule,
+   reproduce the interpreted trace of its own stimulus and schedule,
    byte for byte. *)
 let assert_batch_matches ?schedules name comp ~instances ~ticks ~inputs =
   let ix = Sim.index comp in
@@ -965,12 +946,12 @@ let assert_batch_matches ?schedules name comp ~instances ~ticks ~inputs =
   Sim.run_batch ?schedules ~ticks ~inputs b;
   for i = 0 to instances - 1 do
     let reference =
-      Sim.run_indexed
+      Sim.run
         ?schedule:(Option.map (fun s -> s i) schedules)
-        ~ticks ~inputs:(inputs i) ix
+        ~ticks ~inputs:(inputs i) comp
     in
     checkb
-      (Printf.sprintf "%s: instance %d equals run_indexed" name i)
+      (Printf.sprintf "%s: instance %d equals interpreted" name i)
       true
       (Trace.equal (Sim.batch_trace b ~instance:i) reference)
   done
@@ -1054,11 +1035,11 @@ let test_batch_reuse_and_shards () =
   checki "partial run count" 3 (Sim.batch_count b);
   for i = 0 to 2 do
     checkb
-      (Printf.sprintf "reused batch instance %d equals fresh indexed" i)
+      (Printf.sprintf "reused batch instance %d equals interpreted" i)
       true
       (Trace.equal
          (Sim.batch_trace b ~instance:i)
-         (Sim.run_indexed ~ticks:7 ~inputs:(inputs2 i) ix))
+         (Sim.run ~ticks:7 ~inputs:(inputs2 i) counter))
   done
 
 let test_batch_rejects () =
@@ -1083,25 +1064,54 @@ let test_batch_rejects () =
 (* Snapshots                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The Sim.Snapshot determinism contract, asserted at cmp level: a
-   resume from any capture tick renders byte-identically (to_csv) to
-   the straight run, for every capture point at once. *)
+(* The snapshot determinism contract, asserted at cmp level: a
+   one-column batch runs the stimulus span by span and captures at
+   every tick of [at]; each snapshot is restored into every column of a
+   second batch of the same index, at widths 1 and 3, which runs the
+   rest of the horizon and must render byte-identically (to_csv) to the
+   interpreted straight run.  Each second batch is reused across the
+   capture points, so a restore must also overwrite the state of the
+   previous resume. *)
 let assert_snapshot_identity ?schedule name comp ~ticks ~inputs ~at =
   let ix = Sim.index comp in
-  let reference = Trace.to_csv (Sim.run_indexed ?schedule ~ticks ~inputs ix) in
-  let snaps = Sim.snapshot_run ?schedule ~at ~inputs ix in
-  List.iter2
-    (fun t snap ->
-      checki (Printf.sprintf "%s: capture tick %d" name t) t
-        (Sim.Snapshot.tick snap);
-      checki (Printf.sprintf "%s: prefix rows at %d" name t) t
-        (Trace.length (Sim.Snapshot.trace snap));
-      let resumed = Sim.resume_indexed ?schedule ~ticks ~inputs snap in
-      checkb
-        (Printf.sprintf "%s: resume from %d equals straight run" name t)
-        true
-        (String.equal (Trace.to_csv resumed) reference))
-    at snaps
+  let schedules = Option.map (fun s _ -> s) schedule in
+  let reference = Trace.to_csv (Sim.run ?schedule ~ticks ~inputs comp) in
+  let capture = Sim.batch ~instances:1 ix in
+  Sim.run_batch ~stop:0 ~ticks ~inputs:(fun _ -> inputs) capture;
+  let start = ref 0 in
+  let snaps =
+    List.map
+      (fun t ->
+        Sim.run_batch ?schedules ~start:!start ~stop:t ~reset:false ~ticks
+          ~inputs:(fun _ -> inputs) capture;
+        start := t;
+        Sim.batch_snapshot capture ~instance:0 ~tick:t)
+      at
+  in
+  List.iter
+    (fun width ->
+      let b = Sim.batch ~instances:width ix in
+      Sim.run_batch ~stop:0 ~ticks ~inputs:(fun _ -> inputs) b;
+      List.iter2
+        (fun t snap ->
+          checki (Printf.sprintf "%s: capture tick %d" name t) t
+            (Sim.batch_snapshot_tick snap);
+          for j = 0 to width - 1 do
+            Sim.batch_restore b snap ~instance:j
+          done;
+          Sim.run_batch ?schedules ~start:t ~reset:false ~ticks
+            ~inputs:(fun _ -> inputs) b;
+          for j = 0 to width - 1 do
+            checkb
+              (Printf.sprintf
+                 "%s: width %d, column %d resumed from %d equals straight run"
+                 name width j t)
+              true
+              (String.equal (Trace.to_csv (Sim.batch_trace b ~instance:j))
+                 reference)
+          done)
+        at snaps)
+    [ 1; 3 ]
 
 (* Faulted net with capture points inside a dropout (silence) window
    (12, 14) and inside a stuck-at-last hold (20) — the two fault kinds
@@ -1143,10 +1153,10 @@ let test_snapshot_replicated () =
     ~inputs:Rep.repl_stimulus
     ~at:[ 1; Rep.repl_ticks / 2; Rep.repl_ticks - 1 ]
 
-(* A snapshot is immutable: resuming it with one suffix, then another,
-   then the first again yields the first result byte-for-byte — the
-   fork-from-divergence scheduler relies on replaying one snapshot
-   under many suffixes in arbitrary order. *)
+(* A snapshot is immutable: restoring it into a second batch with one
+   suffix, then another, then the first again yields the first result
+   byte-for-byte — the fork-from-divergence executor relies on
+   replaying one snapshot under many suffixes in arbitrary order. *)
 let test_snapshot_resume_independence () =
   let ix = Sim.index counter in
   let fork = 8 and ticks = 20 in
@@ -1154,8 +1164,17 @@ let test_snapshot_resume_independence () =
   let with_suffix v t =
     if t < fork then prefix t else [ ("step", present_i v) ]
   in
-  let snap = List.hd (Sim.snapshot_run ~at:[ fork ] ~inputs:prefix ix) in
-  let run v = Trace.to_csv (Sim.resume_indexed ~ticks ~inputs:(with_suffix v) snap) in
+  let capture = Sim.batch ~instances:1 ix in
+  Sim.run_batch ~stop:fork ~ticks ~inputs:(fun _ -> prefix) capture;
+  let snap = Sim.batch_snapshot capture ~instance:0 ~tick:fork in
+  let b = Sim.batch ~instances:1 ix in
+  Sim.run_batch ~stop:0 ~ticks ~inputs:(fun _ -> prefix) b;
+  let run v =
+    Sim.batch_restore b snap ~instance:0;
+    Sim.run_batch ~start:fork ~reset:false ~ticks
+      ~inputs:(fun _ -> with_suffix v) b;
+    Trace.to_csv (Sim.batch_trace b ~instance:0)
+  in
   let a1 = run 5 in
   let b = run 9 in
   let a2 = run 5 in
@@ -1163,22 +1182,11 @@ let test_snapshot_resume_independence () =
   checkb "different suffixes diverge" false (String.equal a1 b);
   checkb "resume equals straight run of the composite stimulus" true
     (String.equal a1
-       (Trace.to_csv (Sim.run_indexed ~ticks ~inputs:(with_suffix 5) ix)))
-
-let test_snapshot_rejects () =
-  let ix = Sim.index counter in
-  let inputs _ = [ ("step", present_i 1) ] in
-  checkb "snapshot_run rejects unsorted capture ticks" true
-    (try ignore (Sim.snapshot_run ~at:[ 5; 3 ] ~inputs ix); false
-     with Sim.Sim_error _ -> true);
-  let snap = List.hd (Sim.snapshot_run ~at:[ 4 ] ~inputs ix) in
-  checkb "resume_indexed rejects a horizon before the capture tick" true
-    (try ignore (Sim.resume_indexed ~ticks:3 ~inputs snap); false
-     with Sim.Sim_error _ -> true)
+       (Trace.to_csv (Sim.run ~ticks ~inputs:(with_suffix 5) counter)))
 
 (* The batched fork: simulate a shared prefix in one column, snapshot
    at the fork tick, restore into every column and run divergent
-   suffixes — each column must equal a straight run_indexed of its
+   suffixes — each column must equal a straight interpreted run of its
    composite stimulus (prefix + own suffix).  Uses the MTD throttle so
    the capture covers sub-component state, not just slot planes. *)
 let test_batch_snapshot_fork () =
@@ -1206,11 +1214,11 @@ let test_batch_snapshot_fork () =
   Sim.run_batch ~start:fork ~reset:false ~ticks ~inputs:suffix b;
   for j = 0 to instances - 1 do
     checkb
-      (Printf.sprintf "forked column %d equals straight indexed run" j)
+      (Printf.sprintf "forked column %d equals straight interpreted run" j)
       true
       (String.equal
          (Trace.to_csv (Sim.batch_trace b ~instance:j))
-         (Trace.to_csv (Sim.run_indexed ~ticks ~inputs:(composite j) ix)))
+         (Trace.to_csv (Sim.run ~ticks ~inputs:(composite j) throttle_comp)))
   done
 
 (* A column that was itself restored and stepped on snapshots its
@@ -1242,11 +1250,11 @@ let test_batch_snapshot_of_restored () =
   Sim.run_batch ~start:12 ~reset:false ~ticks ~inputs:composite b;
   for j = 0 to 3 do
     checkb
-      (Printf.sprintf "column %d equals straight indexed run" j)
+      (Printf.sprintf "column %d equals straight interpreted run" j)
       true
       (String.equal
          (Trace.to_csv (Sim.batch_trace b ~instance:j))
-         (Trace.to_csv (Sim.run_indexed ~ticks ~inputs:(composite j) ix)))
+         (Trace.to_csv (Sim.run ~ticks ~inputs:(composite j) counter)))
   done
 
 (* A reset drops every restored prefix: after a fork, a reset run over
@@ -1268,11 +1276,11 @@ let test_batch_reset_after_restore () =
   Sim.run_batch ~ticks ~inputs:fresh b;
   for j = 0 to 2 do
     checkb
-      (Printf.sprintf "reset column %d equals fresh indexed run" j)
+      (Printf.sprintf "reset column %d equals fresh interpreted run" j)
       true
       (String.equal
          (Trace.to_csv (Sim.batch_trace b ~instance:j))
-         (Trace.to_csv (Sim.run_indexed ~ticks ~inputs:(fresh j) ix)))
+         (Trace.to_csv (Sim.run ~ticks ~inputs:(fresh j) counter)))
   done;
   let late = Sim.batch ~instances:3 ix in
   Sim.run_batch ~start:5 ~ticks ~inputs:fresh b;
@@ -1288,7 +1296,7 @@ let test_batch_reset_after_restore () =
 
 (* One batch over a changing horizon: 20, then 12, then 20 ticks.  The
    trace store is rebuilt on each change, and every run's traces equal
-   run_indexed. *)
+   the interpreted run. *)
 let test_batch_horizon_changes () =
   let ix = Sim.index throttle_comp in
   let b = Sim.batch ~instances:3 ix in
@@ -1302,11 +1310,11 @@ let test_batch_horizon_changes () =
       Sim.run_batch ~ticks ~inputs b;
       for j = 0 to 2 do
         checkb
-          (Printf.sprintf "horizon %d, column %d equals run_indexed" ticks j)
+          (Printf.sprintf "horizon %d, column %d equals interpreted" ticks j)
           true
           (String.equal
              (Trace.to_csv (Sim.batch_trace b ~instance:j))
-             (Trace.to_csv (Sim.run_indexed ~ticks ~inputs:(inputs j) ix)))
+             (Trace.to_csv (Sim.run ~ticks ~inputs:(inputs j) throttle_comp)))
       done)
     [ 20; 12; 20 ]
 
@@ -1328,10 +1336,15 @@ let test_batch_snapshot_rejects () =
   checkb "reset:false requires the allocating run's horizon" true
     (try Sim.run_batch ~reset:false ~ticks:12 ~inputs b; false
      with Sim.Sim_error _ -> true);
+  (* another batch of the same index accepts the snapshot; a batch of
+     another index of the same component does not *)
   let b2 = Sim.batch ~instances:2 ix in
   Sim.run_batch ~ticks:10 ~inputs b2;
-  checkb "batch_restore rejects a foreign batch's snapshot" true
-    (try Sim.batch_restore b2 snap ~instance:0; false
+  Sim.batch_restore b2 snap ~instance:1;
+  let other = Sim.batch ~instances:2 (Sim.index counter) in
+  Sim.run_batch ~ticks:10 ~inputs other;
+  checkb "batch_restore rejects a snapshot taken from another index" true
+    (try Sim.batch_restore other snap ~instance:0; false
      with Sim.Sim_error _ -> true);
   Sim.run_batch ~ticks:6 ~inputs b;
   checkb "batch_restore rejects a changed horizon" true
@@ -1685,7 +1698,6 @@ let () =
           Alcotest.test_case "engine fda (E8)" `Quick test_indexed_engine_fda;
           Alcotest.test_case "guarded (E14)" `Quick test_indexed_guarded;
           Alcotest.test_case "mtd under ssd" `Quick test_indexed_mtd_under_ssd;
-          Alcotest.test_case "re-entrant states" `Quick test_indexed_reentrant;
           Alcotest.test_case "rejects loops" `Quick test_indexed_rejects_loops ] );
       ( "batched",
         [ Alcotest.test_case "fixtures" `Quick test_batch_fixtures;
@@ -1702,7 +1714,6 @@ let () =
           Alcotest.test_case "replicated" `Quick test_snapshot_replicated;
           Alcotest.test_case "resume independence" `Quick
             test_snapshot_resume_independence;
-          Alcotest.test_case "rejects" `Quick test_snapshot_rejects;
           Alcotest.test_case "batched fork" `Quick test_batch_snapshot_fork;
           Alcotest.test_case "batched snapshot of a restored column" `Quick
             test_batch_snapshot_of_restored;
