@@ -5,7 +5,7 @@ module Probe = Automode_obs.Probe
 type cache = {
   cache_prefix : string;
   cache_find : string -> string option;
-  cache_store : string -> string -> unit;
+  cache_store : (string * string) list -> unit;
 }
 
 type config = {
@@ -98,12 +98,6 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
       in
       (scenario, canon, Option.bind (c.cache_find (key_of c canon)) decode)
   in
-  let store canon cls =
-    match cache with
-    | None -> ()
-    | Some c ->
-      c.cache_store (key_of c canon) ("canon " ^ canon ^ "\n" ^ Eval.encode cls)
-  in
   (* probe the cache serially, sweep the misses' faulty traces through
      the campaign executor (one case per scenario and twin side) and
      classify them in enumeration order *)
@@ -135,10 +129,21 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
             Eval.evaluate_traces twin ~nominal ~canon
               ~faulty_unguarded:faulty_u.(i) ~faulty_guarded:faulty_g.(i)
           in
-          store canon cls;
           (s, cls, false))
       probed
   in
+  (* one store for the run's misses *)
+  Option.iter
+    (fun c ->
+      c.cache_store
+        (List.filter_map
+           (fun (_, cls, hit) ->
+             if hit then None
+             else
+               let canon = cls.Eval.canon in
+               Some (key_of c canon, "canon " ^ canon ^ "\n" ^ Eval.encode cls))
+           evaluated))
+    cache;
   let cache_hits =
     List.length (List.filter (fun (_, _, hit) -> hit) evaluated)
   in

@@ -23,10 +23,13 @@ type cache = {
       (** prepended to every key — bind the model digest and engine
           revision here so a model edit invalidates cleanly *)
   cache_find : string -> string option;
-  cache_store : string -> string -> unit;
+  cache_store : (string * string) list -> unit;
+      (** receives the [(key, payload)] list of one synthesis run's
+          misses, in enumeration order, once per run *)
 }
-(** Memoization hooks ({!Automode_serve.Cache} shaped, but any
-    string-keyed store works — litmus itself stays service-agnostic). *)
+(** Memoization hooks ({!Automode_serve.Cache} shaped — its disk tier
+    writes each stored batch as one pack — but any string-keyed store
+    works: litmus itself stays service-agnostic). *)
 
 type config = {
   bound : int;           (** max atoms per scenario (k) *)

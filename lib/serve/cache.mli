@@ -3,12 +3,29 @@
 
     Keys are arbitrary strings (the {!Cached} layer builds them from
     {!Digest} values + seed + flags); payloads are opaque strings.  The
-    on-disk tier lives under [dir/v1/] — one file per key, named by the
-    key's MD5, carrying the full key on its first line so a hash
-    collision or a truncated file reads as a miss, never as a wrong
-    answer.  Writes go to a temp file in the same directory and are
-    [rename]d into place, so concurrent daemons and killed runs can
-    never expose a half-written entry.
+    on-disk tier lives under [dir/v2/] as immutable {e packs}: each
+    {!store} publishes its whole batch as one file named by the MD5 of
+    its bytes ([<md5>.pack]), written to a temp file and [rename]d into
+    place, so concurrent daemons and killed runs never expose a
+    half-written pack.  A pack is a run of self-delimiting records —
+    a ["<key length> <payload length> <payload MD5>"] header line, the
+    full key, the payload — so a truncated pack serves the records
+    before the damage.  The cache never rewrites or deletes a pack;
+    entries of the older one-file-per-key [dir/v1/] layout are ignored
+    and left on disk.
+
+    {!create} indexes the packs already on disk (key → pack, offset,
+    length), and every {!store} extends the index.  A key missing from
+    the index re-scans the directory for packs other processes have
+    published before it counts as a miss; the re-scan runs only when
+    the directory's mtime moved since the last scan, so daemons sharing
+    a cache directory see each other's entries (a pack published within
+    the timestamp tick of that scan is seen after the directory's next
+    change; until then its keys are recomputed).  Every disk read
+    checks the payload's MD5: a mismatch or a short read counts as a
+    miss, bumps [serve.cache.corrupt] and drops the record from the
+    index, so the recomputed entry's next {!store} serves later
+    lookups.
 
     Lookups count [serve.cache.hit] / [serve.cache.miss] and memory
     eviction counts [serve.cache.evict] through
@@ -26,12 +43,15 @@ val mkdir_p : string -> unit
 val write_atomic : path:string -> string -> unit
 (** Write [content] to a temp file in [path]'s directory and [rename]
     it into place — readers see the old bytes or the new bytes, never a
-    torn file.  Used for cache entries, job reports and status files. *)
+    torn file.  The temp name is unique per call (pid, domain, counter),
+    so any number of domains and processes may write one path at once.
+    Used for cache packs, job reports and status files. *)
 
 val create : ?dir:string -> ?capacity:int -> unit -> t
 (** A cache whose memory tier holds at most [capacity] entries
     (default 4096, FIFO eviction); [?dir] adds the persistent tier
-    (created on demand).  @raise Invalid_argument on [capacity < 1]. *)
+    (created on demand) and indexes the packs already in it.
+    @raise Invalid_argument on [capacity < 1]. *)
 
 val find : t -> key:string -> decode:(string -> 'a option) -> 'a option
 (** Probe memory, then disk (promoting a disk hit into memory).  The
@@ -39,9 +59,12 @@ val find : t -> key:string -> decode:(string -> 'a option) -> 'a option
     and counted — as a miss, so stale or corrupt entries fall back to
     recomputation. *)
 
-val store : t -> key:string -> string -> unit
-(** Insert into the memory tier (evicting FIFO at capacity) and, when
-    the cache is persistent, atomically into the disk tier. *)
+val store : t -> (string * string) list -> unit
+(** Insert a batch of [(key, payload)] entries into the memory tier, in
+    order (evicting FIFO at capacity), and, when the cache is
+    persistent, publish the batch as one pack whose records replace any
+    older record of the same keys.  Callers store once per campaign
+    leg; an empty batch writes nothing. *)
 
 val stats : t -> int * int * int
 (** [(hits, misses, evictions)] since creation — the numbers behind the

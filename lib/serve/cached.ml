@@ -177,6 +177,22 @@ let splice cached fresh =
       | None, _ -> invalid_arg "Cached.splice: fresh results out of step")
     cached
 
+(* Look every seed up under its key: the [(seed, hit)] list {!splice}
+   walks, and the missing seeds with the key each was looked up with,
+   which is the key their fresh verdicts are stored under. *)
+let probe cache ~key ~decode seeds =
+  let missing = ref [] in
+  let cached =
+    List.map
+      (fun seed ->
+        let key = key seed in
+        let hit = Cache.find cache ~key ~decode:(decode seed) in
+        if Option.is_none hit then missing := (seed, key) :: !missing;
+        (seed, hit))
+      seeds
+  in
+  (cached, List.rev !missing)
+
 let seed_key ~scenario_digest scn ~shrink seed =
   Printf.sprintf "sweep|%s|seed=%d|faults=%s|shrink=%b|%s" scenario_digest
     seed
@@ -192,19 +208,11 @@ let sweep ?cache ?(shrink = true) ?(domains = 1) ?(instances = 1)
   | None -> Scenario.sweep ~shrink ~domains ~instances ~prefix_share scn ~seeds
   | Some cache ->
     let scenario_digest = Digest.scenario scn in
-    let key = seed_key ~scenario_digest scn ~shrink in
-    let cached =
-      List.map
-        (fun seed ->
-          ( seed,
-            Cache.find cache ~key:(key seed)
-              ~decode:(decode_entry scn ~seed ~shrink) ))
+    let cached, missing =
+      probe cache
+        ~key:(seed_key ~scenario_digest scn ~shrink)
+        ~decode:(fun seed -> decode_entry scn ~seed ~shrink)
         seeds
-    in
-    let missing =
-      List.filter_map
-        (fun (seed, hit) -> if hit = None then Some seed else None)
-        cached
     in
     let fresh =
       if missing = [] then []
@@ -214,17 +222,22 @@ let sweep ?cache ?(shrink = true) ?(domains = 1) ?(instances = 1)
            default, as Scenario.sweep *)
         let results =
           Scenario.run_seeds ~domains ~instances ~prefix_share scn
-            ~seeds:missing
+            ~seeds:(List.map fst missing)
         in
         (* shrinking runs serially after the sweep, as in Scenario.sweep *)
-        List.map2
-          (fun seed r ->
-            let failures = Scenario.seed_failures ~shrink scn r in
-            (match encode_entry r failures with
-             | Some payload -> Cache.store cache ~key:(key seed) payload
-             | None -> ());
-            (seed, (r, failures)))
-          missing results
+        let fresh =
+          List.map2
+            (fun (seed, key) r ->
+              (seed, key, (r, Scenario.seed_failures ~shrink scn r)))
+            missing results
+        in
+        Cache.store cache
+          (List.filter_map
+             (fun (_, key, (r, failures)) ->
+               Option.map (fun payload -> (key, payload))
+                 (encode_entry r failures))
+             fresh);
+        List.map (fun (seed, _, v) -> (seed, v)) fresh
       end
     in
     let per_seed = splice cached fresh in
@@ -265,20 +278,14 @@ let net_campaign ?cache ~leg ~run ~seeds () =
     let key seed =
       Printf.sprintf "net|%s|seed=%d|%s" leg seed Digest.engine_rev
     in
-    let cached =
-      List.map
-        (fun seed ->
-          (seed, Cache.find cache ~key:(key seed) ~decode:decode_net_entry))
-        seeds
+    let cached, missing =
+      probe cache ~key ~decode:(fun _ -> decode_net_entry) seeds
     in
-    let missing =
-      List.filter_map
-        (fun (seed, hit) -> if hit = None then Some seed else None)
-        cached
-    in
-    let fresh = if missing = [] then [] else run ~seeds:missing in
-    List.iter
-      (fun (seed, verdicts) ->
-        Cache.store cache ~key:(key seed) (encode_net_entry verdicts))
-      fresh;
-    List.map2 (fun (seed, _) v -> (seed, v)) cached (splice cached fresh)
+    let fresh = if missing = [] then [] else run ~seeds:(List.map fst missing) in
+    (* splicing first checks that [run] answered the missing seeds in order *)
+    let verdicts = splice cached fresh in
+    Cache.store cache
+      (List.map2
+         (fun (_, key) (_, verdicts) -> (key, encode_net_entry verdicts))
+         missing fresh);
+    List.map2 (fun (seed, _) v -> (seed, v)) cached verdicts

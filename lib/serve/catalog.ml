@@ -105,8 +105,8 @@ let proptest ?cache ?(shrink = true) ?domains ?instances ?prefix_share
      | Some o -> o
      | None ->
        let o = compute () in
-       Cache.store cache ~key
-         ((if o.gate_ok then "gate=1\n" else "gate=0\n") ^ o.report);
+       Cache.store cache
+         [ (key, (if o.gate_ok then "gate=1\n" else "gate=0\n") ^ o.report) ];
        o)
 
 module Synth = Automode_litmus.Synth
@@ -127,7 +127,7 @@ let litmus_hooks cache =
         (Digest.component Guarded.component)
         Digest.engine_rev;
     cache_find = (fun key -> Cache.find cache ~key ~decode:Option.some);
-    cache_store = (fun key payload -> Cache.store cache ~key payload) }
+    cache_store = Cache.store cache }
 
 let litmus_result ?cache ?(domains = 1) ?instances ?prefix_share
     ?(bound = 2) ?(max_scenarios = 100_000) ?engine () =

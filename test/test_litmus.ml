@@ -243,7 +243,7 @@ let test_synth_batched_identical () =
   let hooks =
     { Synth.cache_prefix = "batch|";
       cache_find = Hashtbl.find_opt store;
-      cache_store = (fun k v -> Hashtbl.replace store k v) }
+      cache_store = List.iter (fun (k, v) -> Hashtbl.replace store k v) }
   in
   let cold = synth ~cache:hooks ~instances:16 () in
   let batched_payloads = Hashtbl.copy store in
@@ -276,7 +276,7 @@ let test_synth_prefix_identical () =
   let hooks =
     { Synth.cache_prefix = "prefix|";
       cache_find = Hashtbl.find_opt store;
-      cache_store = (fun k v -> Hashtbl.replace store k v) }
+      cache_store = List.iter (fun (k, v) -> Hashtbl.replace store k v) }
   in
   let cold = synth ~cache:hooks () in
   let warm = synth ~cache:hooks ~prefix_share:false () in
@@ -290,7 +290,7 @@ let test_synth_cache_roundtrip () =
   let hooks =
     { Synth.cache_prefix = "test|";
       cache_find = Hashtbl.find_opt store;
-      cache_store = (fun k v -> Hashtbl.replace store k v) }
+      cache_store = List.iter (fun (k, v) -> Hashtbl.replace store k v) }
   in
   let cold = synth ~cache:hooks () in
   checki "cold run misses everything" cold.Synth.res_evaluated

@@ -92,11 +92,10 @@ let test_fault_digest_order_sensitive () =
 
 let test_cache_memory_tier () =
   let c = Serve.Cache.create ~capacity:2 () in
-  Serve.Cache.store c ~key:"k1" "v1";
-  Serve.Cache.store c ~key:"k2" "v2";
+  Serve.Cache.store c [ ("k1", "v1"); ("k2", "v2") ];
   let get k = Serve.Cache.find c ~key:k ~decode:Option.some in
   checkb "k1 present" true (get "k1" = Some "v1");
-  Serve.Cache.store c ~key:"k3" "v3" (* evicts k1 (FIFO) *);
+  Serve.Cache.store c [ ("k3", "v3") ] (* evicts k1 (FIFO) *);
   checkb "k1 evicted" true (get "k1" = None);
   checkb "k3 present" true (get "k3" = Some "v3");
   let hits, misses, evictions = Serve.Cache.stats c in
@@ -109,7 +108,7 @@ let test_cache_memory_tier () =
 let test_cache_disk_tier () =
   let dir = temp_dir "automode-cache" in
   let c = Serve.Cache.create ~dir () in
-  Serve.Cache.store c ~key:"sweep|abc|seed=1" "payload\nwith\nlines";
+  Serve.Cache.store c [ ("sweep|abc|seed=1", "payload\nwith\nlines") ];
   (* a fresh cache over the same directory reads it back from disk *)
   let c2 = Serve.Cache.create ~dir () in
   checkb "disk roundtrip" true
@@ -121,11 +120,198 @@ let test_cache_disk_tier () =
     (try ignore (Serve.Cache.create ~capacity:0 ()); false
      with Invalid_argument _ -> true)
 
+let ( // ) = Filename.concat
+
+let seeds_range lo hi = List.init (hi - lo + 1) (fun i -> lo + i)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* The packs of a cache directory's disk tier, by name. *)
+let packs dir =
+  List.sort String.compare
+    (List.filter
+       (fun f -> Filename.check_suffix f ".pack")
+       (Array.to_list (Sys.readdir (dir // "v2"))))
+
+let only_pack dir =
+  match packs dir with
+  | [ p ] -> dir // "v2" // p
+  | ps -> Alcotest.failf "expected one pack, found %d" (List.length ps)
+
+(* Two domains write one path at once while this one reads it: every
+   write succeeds, every read sees one writer's whole payload, and no
+   temp file is left behind. *)
+let test_write_atomic_domains () =
+  let dir = temp_dir "automode-atomic" in
+  let path = dir // "entry" in
+  let payload c = String.make 4096 c in
+  let running = Atomic.make 2 in
+  let writer c =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.decr running)
+          (fun () ->
+            let failed = ref 0 in
+            for _ = 1 to 1000 do
+              try Serve.Cache.write_atomic ~path (payload c)
+              with Sys_error _ -> incr failed
+            done;
+            !failed))
+  in
+  let a = writer 'a' and b = writer 'b' in
+  let torn = ref 0 in
+  while Atomic.get running > 0 do
+    match read_file path with
+    | s -> if s <> payload 'a' && s <> payload 'b' then incr torn
+    | exception Sys_error _ -> ()
+  done;
+  let failed = Domain.join a + Domain.join b in
+  checki "failed writes" 0 failed;
+  checki "torn reads" 0 !torn;
+  checkb "no temp file left" true (Sys.readdir dir = [| "entry" |])
+
+(* A flipped payload byte that still decodes (a failing verdict's tick)
+   makes only its own key miss: the re-run report is byte-identical to
+   the uncached one, the pack's other keys hit, and the recomputed
+   entry serves later lookups from disk. *)
+let test_cache_corrupt_record () =
+  let dir = temp_dir "automode-corrupt" in
+  let scn = Robustness.door_lock_scenario in
+  let seeds = seeds_range 1 6 in
+  let sweep cache =
+    Report.to_text (Serve.Cached.sweep ~cache ~shrink:false scn ~seeds)
+  in
+  let plain = Report.to_text (Scenario.sweep ~shrink:false scn ~seeds) in
+  ignore (sweep (Serve.Cache.create ~dir ()));
+  let pack = only_pack dir in
+  let bytes = Bytes.of_string (read_file pack) in
+  let tick =
+    let marker = {|"f",|} in
+    let rec find i =
+      if Bytes.sub_string bytes i (String.length marker) = marker then
+        i + String.length marker
+      else find (i + 1)
+    in
+    find 0
+  in
+  let d = Bytes.get bytes tick in
+  Bytes.set bytes tick (if d = '9' then '8' else Char.chr (Char.code d + 1));
+  write_file pack (Bytes.to_string bytes);
+  (* capacity 1: later lookups read the disk tier, not memory *)
+  let cache = Serve.Cache.create ~capacity:1 ~dir () in
+  let m = Automode_obs.Metrics.create () in
+  let rerun () =
+    Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m) (fun () ->
+        sweep cache)
+  in
+  checks "re-run report == uncached report" plain (rerun ());
+  let hits, misses, _ = Serve.Cache.stats cache in
+  checki "the pack's other keys hit" 5 hits;
+  checki "only the damaged key misses" 1 misses;
+  checkb "corrupt record counted" true
+    (Automode_obs.Metrics.value m "serve.cache.corrupt" = Some 1);
+  checks "warm report == uncached report" plain (rerun ());
+  let hits', misses', _ = Serve.Cache.stats cache in
+  checki "recomputed entry serves later lookups" 6 (hits' - hits);
+  checki "no further misses" 0 (misses' - misses)
+
+(* A pack truncated mid-record serves the records before the damage and
+   misses the rest, without raising: a fresh cache indexes only the
+   records before the cut, and the cache that indexed the whole pack
+   reads the rest short.  A deleted pack misses as well. *)
+let test_cache_truncated_pack () =
+  let dir = temp_dir "automode-trunc" in
+  (* capacity 1: the writer's lookups of k1 and k2 read the disk *)
+  let writer = Serve.Cache.create ~capacity:1 ~dir () in
+  Serve.Cache.store writer
+    [ ("k1", "first"); ("k2", "second payload"); ("k3", "third") ];
+  let pack = only_pack dir in
+  let s = read_file pack in
+  let rec find i = if String.sub s i 6 = "second" then i else find (i + 1) in
+  write_file pack (String.sub s 0 (find 0 + 3));
+  let c = Serve.Cache.create ~dir () in
+  let get c key = Serve.Cache.find c ~key ~decode:Option.some in
+  checkb "record before the damage" true (get c "k1" = Some "first");
+  checkb "damaged record misses" true (get c "k2" = None);
+  checkb "record after the damage misses" true (get c "k3" = None);
+  checkb "whole-pack index: record before the damage" true
+    (get writer "k1" = Some "first");
+  checkb "whole-pack index: short read misses" true (get writer "k2" = None);
+  Sys.remove pack;
+  checkb "deleted pack misses" true (get writer "k3" = None)
+
+(* An entry of the one-file-per-key v1/ layout is neither read nor
+   touched. *)
+let test_cache_ignores_v1 () =
+  let dir = temp_dir "automode-v1" in
+  let key = "sweep|abc|seed=1" in
+  let name = Stdlib.Digest.to_hex (Stdlib.Digest.string key) in
+  Serve.Cache.mkdir_p (dir // "v1");
+  write_file (dir // "v1" // name) (key ^ "\npayload");
+  let c = Serve.Cache.create ~dir () in
+  checkb "v1 entry misses" true
+    (Serve.Cache.find c ~key ~decode:Option.some = None);
+  Serve.Cache.store c [ (key, "fresh") ];
+  checkb "v1 tree untouched" true (Sys.readdir (dir // "v1") = [| name |]);
+  checks "v1 entry untouched" (key ^ "\npayload")
+    (read_file (dir // "v1" // name))
+
+(* Exact disk-write counts: every store batch is one pack, and a warm
+   run stores nothing. *)
+let test_cache_pack_counts () =
+  let dir = temp_dir "automode-packs" in
+  let scn = Robustness.door_lock_scenario in
+  let sweep seeds =
+    let cache = Serve.Cache.create ~dir () in
+    ignore (Serve.Cached.sweep ~cache ~shrink:false scn ~seeds);
+    Serve.Cache.stats cache
+  in
+  ignore (sweep (seeds_range 1 40));
+  checki "cold 40-seed sweep: one pack" 1 (List.length (packs dir));
+  let hits, misses, _ = sweep (seeds_range 1 40) in
+  checki "warm re-run: all hits" 40 hits;
+  checki "warm re-run: no misses" 0 misses;
+  checki "warm re-run: no new pack" 1 (List.length (packs dir));
+  Serve.Cache.store (Serve.Cache.create ~dir ()) [];
+  checki "empty batch: no pack" 1 (List.length (packs dir));
+  ignore (sweep (seeds_range 31 50));
+  checki "overlapping range: one more pack" 2 (List.length (packs dir));
+  let dir = temp_dir "automode-packs-guard" in
+  ignore
+    (Serve.Catalog.run ~cache:(Serve.Cache.create ~dir ()) ~shrink:false
+       ~kind:Serve.Job.Guard ~engine:false ~seeds:(seeds_range 1 4) ());
+  checki "cold guard: one pack per leg" 3 (List.length (packs dir))
+
+(* Caches sharing a directory see each other's packs: a batch stored
+   through a second cache, created after the first, is a hit in the
+   first.  The re-scan is gated on the directory's mtime, which the test
+   sets to a fixed past time to hold it still. *)
+let test_cache_shared_dir () =
+  let dir = temp_dir "automode-shared" in
+  let root = dir // "v2" in
+  Serve.Cache.mkdir_p root;
+  let settle () = Unix.utimes root 1e9 1e9 in
+  settle ();
+  let first = Serve.Cache.create ~dir () in
+  let second = Serve.Cache.create ~dir () in
+  let get key = Serve.Cache.find first ~key ~decode:Option.some in
+  Serve.Cache.store second [ ("k1", "v1") ];
+  checkb "the second cache's batch is a hit in the first" true
+    (get "k1" = Some "v1");
+  settle ();
+  checkb "absent key misses" true (get "k0" = None);
+  Serve.Cache.store second [ ("k2", "v2") ];
+  settle ();
+  checkb "unmoved mtime: no re-scan" true (get "k2" = None);
+  Unix.utimes root 0. 0.;
+  checkb "moved mtime: re-scanned" true (get "k2" = Some "v2")
+
 (* ------------------------------------------------------------------ *)
 (* Cached sweeps: byte-identical warm reports, range splicing         *)
 (* ------------------------------------------------------------------ *)
-
-let seeds_range lo hi = List.init (hi - lo + 1) (fun i -> lo + i)
 
 let test_warm_report_byte_identical () =
   let cache = Serve.Cache.create () in
@@ -668,6 +854,11 @@ let suite =
       test_fault_digest_order_sensitive;
     Alcotest.test_case "cache memory tier" `Quick test_cache_memory_tier;
     Alcotest.test_case "cache disk tier" `Quick test_cache_disk_tier;
+    Alcotest.test_case "cache corrupt record" `Quick test_cache_corrupt_record;
+    Alcotest.test_case "cache truncated pack" `Quick test_cache_truncated_pack;
+    Alcotest.test_case "cache ignores v1 entries" `Quick test_cache_ignores_v1;
+    Alcotest.test_case "cache pack counts" `Quick test_cache_pack_counts;
+    Alcotest.test_case "cache shared directory" `Quick test_cache_shared_dir;
     Alcotest.test_case "warm report byte-identical" `Quick
       test_warm_report_byte_identical;
     Alcotest.test_case "overlapping range splicing" `Quick
@@ -694,6 +885,9 @@ let suite =
       test_catalog_prefix_identical;
     Alcotest.test_case "job prefix_share field" `Quick
       test_job_prefix_share_field;
-    Alcotest.test_case "daemon socket intake" `Quick test_daemon_socket ]
+    Alcotest.test_case "daemon socket intake" `Quick test_daemon_socket;
+    (* spawns domains, so it runs after the test that forks *)
+    Alcotest.test_case "write_atomic from two domains" `Quick
+      test_write_atomic_domains ]
 
 let () = Alcotest.run "serve" [ ("serve", suite) ]
