@@ -38,17 +38,17 @@ let rec compare a b =
   | Enum _, (Bool _ | Int _ | Float _) -> 1
   | Tuple _, (Bool _ | Int _ | Float _ | Enum _) -> 1
 
-let rec pp ppf = function
-  | Bool b -> Format.pp_print_bool ppf b
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.fprintf ppf "%g" f
-  | Enum (_, lit) -> Format.pp_print_string ppf lit
-  | Tuple vs ->
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp)
-      vs
+(* The one renderer: each value renders directly, with no formatter in
+   between.  A tuple has no break hint inside, so [pp] printing this
+   string lays out exactly as a formatter walking the value would. *)
+let rec to_string = function
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%g" f
+  | Enum (_, lit) -> lit
+  | Tuple vs -> "(" ^ String.concat ", " (List.map to_string vs) ^ ")"
 
-let to_string v = Format.asprintf "%a" pp v
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let equal_message m1 m2 =
   match m1, m2 with
@@ -56,11 +56,11 @@ let equal_message m1 m2 =
   | Present a, Present b -> equal a b
   | (Absent | Present _), _ -> false
 
-let pp_message ppf = function
-  | Absent -> Format.pp_print_string ppf "-"
-  | Present v -> pp ppf v
+let message_to_string = function
+  | Absent -> "-"
+  | Present v -> to_string v
 
-let message_to_string m = Format.asprintf "%a" pp_message m
+let pp_message ppf m = Format.pp_print_string ppf (message_to_string m)
 
 (* Numeric promotion: Int op Int -> Int, any Float -> Float. *)
 let numeric2 name int_op float_op a b =

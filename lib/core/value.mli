@@ -21,14 +21,23 @@ exception Type_error of string
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
+
 val to_string : t -> string
+(** The value's text: [true], [23], a float as C's ["%g"] renders it
+    ([nan], [inf], [1e+21]), an enum's literal, a tuple as
+    ["(1, 2.5)"].  Rendered directly, with no formatter. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
 
 val equal_message : message -> message -> bool
-val pp_message : Format.formatter -> message -> unit
-(** Prints [Absent] as ["-"], mirroring the paper's Fig. 1. *)
 
 val message_to_string : message -> string
+(** {!to_string} of a present value; [Absent] is ["-"], mirroring the
+    paper's Fig. 1. *)
+
+val pp_message : Format.formatter -> message -> unit
+(** Prints {!message_to_string}. *)
 
 (** {1 Numeric and logic helpers}
 

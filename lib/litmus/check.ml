@@ -3,9 +3,7 @@ open Automode_robust
 
 type input = {
   horizon : int;
-  nominal_unguarded : Trace.t;
   nominal_guarded : Trace.t;
-  faulty_unguarded : Trace.t;
   faulty_guarded : Trace.t;
   unguarded_failures : (string * int * string) list;
   guarded_failures : (string * int * string) list;

@@ -1,19 +1,20 @@
 (** Stated-bound checks evaluated per scenario.
 
-    A check is a pure function of the four traces a scenario produces
-    (nominal and faulty, unguarded and guarded twin) plus the monitor
-    failures already extracted from them.  Purity matters: two
-    scenarios with the same trace divergence must classify
-    byte-identically, so checks never look at the scenario's fault
-    list — everything is derived from the traces themselves. *)
+    A check is a pure function of the guarded twin's nominal and faulty
+    traces plus both twins' monitor failures.  The unguarded twin
+    reaches a check only through its failures: synthesis classifies
+    each guarded trace as it completes, against a summary of the
+    unguarded run (its failures and divergence text), so no unguarded
+    trace is held for the checks.  Purity matters: two scenarios with
+    the same trace divergence must classify byte-identically, so checks
+    never look at the scenario's fault list — everything is derived
+    from the runs themselves. *)
 
 open Automode_core
 
 type input = {
-  horizon : int;                 (** simulation ticks of all four traces *)
-  nominal_unguarded : Trace.t;
+  horizon : int;                 (** simulation ticks of both twins *)
   nominal_guarded : Trace.t;
-  faulty_unguarded : Trace.t;
   faulty_guarded : Trace.t;
   unguarded_failures : (string * int * string) list;
       (** (monitor, tick, reason) of the faulty unguarded run *)

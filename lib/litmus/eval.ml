@@ -9,18 +9,22 @@ type twin = {
   checks : Check.t list;
 }
 
+(* The fault-free reference runs, as the columns the divergence scan
+   reads (computed once per synthesis), plus the guarded trace the
+   checks compare against. *)
 type nominal = {
-  nom_unguarded : Trace.t;
   nom_guarded : Trace.t;
+  cols_unguarded : (string * Value.message array) list;
+  cols_guarded : (string * Value.message array) list;
 }
 
 let nominal twin =
-  { nom_unguarded =
-      Builder.trace_ops twin.unguarded ~seed:0 ~ops:[]
-        ~ticks:(Builder.ticks twin.unguarded);
-    nom_guarded =
-      Builder.trace_ops twin.guarded ~seed:0 ~ops:[]
-        ~ticks:(Builder.ticks twin.guarded) }
+  let run b = Builder.trace_ops b ~seed:0 ~ops:[] ~ticks:(Builder.ticks b) in
+  (* guarded first: the order the probes, and so the metrics key order
+     and the Chrome trace, have always seen *)
+  let nom_guarded = run twin.guarded in
+  let cols_unguarded = Trace.columns (run twin.unguarded) in
+  { nom_guarded; cols_unguarded; cols_guarded = Trace.columns nom_guarded }
 
 type classification = {
   canon : string;
@@ -34,15 +38,14 @@ type classification = {
 let distinguishing c = c.unguarded_failures <> [] && c.guarded_failures = []
 let survivor c = distinguishing c || c.violations <> []
 
-(* Canonical divergence: flow-major, tick-ascending, one line per tick
-   where the faulty trace differs from the nominal one.  The hash of
-   this text is the scenario's identity: equal hash <=> equal faulty
-   traces (given the fixed nominal pair), modulo MD5 collisions. *)
+(* Canonical divergence: flow-major, tick-ascending, one line
+   "label|tick|flow|nominal|faulty" per tick where the faulty trace
+   differs from the nominal one.  The hash of this text is the
+   scenario's identity: equal hash <=> equal faulty traces (given the
+   fixed nominal pair), modulo MD5 collisions.  [Trace.columns] walks
+   the faulty trace once, O(ticks * flows); the nominal columns come
+   precomputed. *)
 let divergence buf ~label ~nominal ~faulty =
-  (* [Trace.columns] walks each trace once — O(ticks * flows) for the
-     whole scenario instead of a per-flow [Trace.column] extraction —
-     while keeping the flow-major output (and therefore every pinned
-     hash) byte-identical. *)
   let fau_cols = Trace.columns faulty in
   List.iter
     (fun (flow, nom) ->
@@ -57,13 +60,20 @@ let divergence buf ~label ~nominal ~faulty =
       in
       for t = 0 to n - 1 do
         let m0 = get nom t and m1 = get fau t in
-        if not (Value.equal_message m0 m1) then
-          Buffer.add_string buf
-            (Printf.sprintf "%s|%d|%s|%s|%s\n" label t flow
-               (Value.message_to_string m0)
-               (Value.message_to_string m1))
+        if not (Value.equal_message m0 m1) then begin
+          Buffer.add_string buf label;
+          Buffer.add_char buf '|';
+          Buffer.add_string buf (string_of_int t);
+          Buffer.add_char buf '|';
+          Buffer.add_string buf flow;
+          Buffer.add_char buf '|';
+          Buffer.add_string buf (Value.message_to_string m0);
+          Buffer.add_char buf '|';
+          Buffer.add_string buf (Value.message_to_string m1);
+          Buffer.add_char buf '\n'
+        end
       done)
-    (Trace.columns nominal)
+    nominal
 
 let failures_of verdicts =
   List.filter_map
@@ -73,25 +83,31 @@ let failures_of verdicts =
       | Monitor.Fail { at_tick; reason } -> Some (m, at_tick, reason))
     verdicts
 
-let evaluate_traces twin ~nominal ~canon ~faulty_unguarded ~faulty_guarded =
-  let horizon = Builder.ticks twin.unguarded in
-  let unguarded_failures =
-    failures_of (Builder.eval_monitors twin.unguarded faulty_unguarded)
-  in
+type summary = {
+  sum_failures : (string * int * string) list;
+  sum_divergence : string;
+}
+
+let summarize twin ~nominal faulty =
+  let buf = Buffer.create 512 in
+  divergence buf ~label:"u" ~nominal:nominal.cols_unguarded ~faulty;
+  { sum_failures =
+      failures_of (Builder.eval_monitors twin.unguarded faulty);
+    sum_divergence = Buffer.contents buf }
+
+let classify twin ~nominal ~canon summary faulty_guarded =
+  let unguarded_failures = summary.sum_failures in
   let guarded_failures =
     failures_of (Builder.eval_monitors twin.guarded faulty_guarded)
   in
-  let buf = Buffer.create 512 in
-  divergence buf ~label:"u" ~nominal:nominal.nom_unguarded
-    ~faulty:faulty_unguarded;
-  divergence buf ~label:"g" ~nominal:nominal.nom_guarded
+  let buf = Buffer.create (String.length summary.sum_divergence + 512) in
+  Buffer.add_string buf summary.sum_divergence;
+  divergence buf ~label:"g" ~nominal:nominal.cols_guarded
     ~faulty:faulty_guarded;
   let hash = Stdlib.Digest.to_hex (Stdlib.Digest.string (Buffer.contents buf)) in
   let input =
-    { Check.horizon;
-      nominal_unguarded = nominal.nom_unguarded;
+    { Check.horizon = Builder.ticks twin.unguarded;
       nominal_guarded = nominal.nom_guarded;
-      faulty_unguarded;
       faulty_guarded;
       unguarded_failures;
       guarded_failures }
@@ -122,15 +138,9 @@ let evaluate_traces twin ~nominal ~canon ~faulty_unguarded ~faulty_guarded =
   { canon; hash; unguarded_failures; guarded_failures; tags; violations }
 
 let evaluate_ops twin ~nominal ~canon ops =
-  let faulty_unguarded =
-    Builder.trace_ops twin.unguarded ~seed:0 ~ops
-      ~ticks:(Builder.ticks twin.unguarded)
-  in
-  let faulty_guarded =
-    Builder.trace_ops twin.guarded ~seed:0 ~ops
-      ~ticks:(Builder.ticks twin.guarded)
-  in
-  evaluate_traces twin ~nominal ~canon ~faulty_unguarded ~faulty_guarded
+  let trace b = Builder.trace_ops b ~seed:0 ~ops ~ticks:(Builder.ticks b) in
+  let summary = summarize twin ~nominal (trace twin.unguarded) in
+  classify twin ~nominal ~canon summary (trace twin.guarded)
 
 let evaluate twin ~nominal scenario =
   evaluate_ops twin ~nominal

@@ -98,37 +98,39 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
       in
       (scenario, canon, Option.bind (c.cache_find (key_of c canon)) decode)
   in
-  (* probe the cache serially, sweep the misses' faulty traces through
-     the campaign executor (one case per scenario and twin side) and
-     classify them in enumeration order *)
+  (* probe the cache serially, then sweep the misses through the
+     campaign executor, one case per scenario and twin side, classifying
+     each trace as it completes: the unguarded sweep keeps a summary per
+     scenario, the guarded sweep turns each summary into the scenario's
+     classification, and no trace outlives its chunk *)
   let probed = List.map lookup scenarios in
-  let opss =
+  let misses =
     Array.of_list
       (List.filter_map
-         (fun (s, _, hit) -> if hit = None then Some (Space.ops s) else None)
+         (fun (s, canon, hit) -> if hit = None then Some (s, canon) else None)
          probed)
   in
-  let faulty_u =
-    Builder.trace_cases ~domains ~instances ~share:prefix_share
-      twin.Eval.unguarded ~seed:0 ~ticks:horizon opss
+  let opss = Array.map (fun (s, _) -> Space.ops s) misses in
+  let sweep builder ~f =
+    Builder.map_cases ~domains ~instances ~share:prefix_share builder ~seed:0
+      ~ticks:(Builder.ticks builder) opss ~f
   in
-  let faulty_g =
-    Builder.trace_cases ~domains ~instances ~share:prefix_share
-      twin.Eval.guarded ~seed:0 ~ticks:(Builder.ticks twin.Eval.guarded) opss
+  let summaries =
+    sweep twin.Eval.unguarded ~f:(fun _ tr -> Eval.summarize twin ~nominal tr)
+  in
+  let classified =
+    sweep twin.Eval.guarded ~f:(fun i tr ->
+        Eval.classify twin ~nominal ~canon:(snd misses.(i)) summaries.(i) tr)
   in
   let next_miss = ref 0 in
   let evaluated =
     List.map
-      (fun (s, canon, hit) ->
+      (fun (s, _, hit) ->
         match hit with
         | Some cls -> (s, cls, true)
         | None ->
-          let i = !next_miss in
+          let cls = classified.(!next_miss) in
           incr next_miss;
-          let cls =
-            Eval.evaluate_traces twin ~nominal ~canon
-              ~faulty_unguarded:faulty_u.(i) ~faulty_guarded:faulty_g.(i)
-          in
           (s, cls, false))
       probed
   in

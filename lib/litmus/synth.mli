@@ -3,10 +3,11 @@
 
     The pipeline: {!Space.enumerate} the scenario space (capped at
     [max_scenarios], with the truncation reported), evaluate every
-    scenario on both twins — sharded over
-    {!Automode_robust.Parallel.map} domains and merged back in
-    enumeration order, optionally memoized through caller-supplied
-    cache hooks keyed by canonical form — deduplicate by divergence
+    scenario on both twins — one sweep per twin through the campaign
+    executor, classified as each trace completes (no trace outlives its
+    chunk), merged back in enumeration order, optionally memoized
+    through caller-supplied cache hooks keyed by canonical form —
+    deduplicate by divergence
     hash (first occurrence in enumeration order wins, TransForm's
     new-hash/total bookkeeping), keep the survivors (distinguishing or
     bound-violating), prune them to the minimal ones (no proper atom
@@ -82,11 +83,15 @@ val run :
   ?prefix_share:bool -> twin:Eval.twin -> alphabet:Alphabet.t -> unit ->
   result
 (** Synthesize.  Every scenario is first looked up in [?cache]; the
-    missing scenarios' faulty traces are then swept in one go through
-    {!Automode_proptest.Builder.trace_cases} (one case per scenario and
-    twin side) under the plan [?domains], [?instances] (both default 1)
-    and [?prefix_share] (default [true]), and classified with
-    {!Eval.evaluate_traces} in enumeration order.  [?instances] steps
+    missing scenarios are then swept through
+    {!Automode_proptest.Builder.map_cases}, once per twin (one case per
+    scenario), under the plan [?domains], [?instances] (both default 1)
+    and [?prefix_share] (default [true]).  The unguarded sweep's
+    consumer reduces each trace to its {!Eval.summarize} summary; the
+    guarded sweep's consumer finishes each scenario's classification
+    with {!Eval.classify}.  So each trace is classified as it completes
+    and no trace outlives its chunk: the sweeps hold one summary per
+    scenario, never the twins' traces.  [?instances] steps
     the sweep through the batched engine; [?prefix_share] simulates the
     fault-free prefix common to the enumerated scenarios once per
     distinct first-effect tick and replays only suffixes — exact when

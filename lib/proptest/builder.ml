@@ -108,16 +108,16 @@ let run_ops t ~seed ~ops ~ticks =
 let trace_ops t ~seed ~ops ~ticks =
   trace_of t ~faults:(faults_of t ~seed ~ops) ~ticks
 
-(* The traces of many fault lists of one spec, in order: the interpreted
-   oracle loops over them, the indexed engine runs them through the
-   campaign executor. *)
-let traces t ~domains ~instances ~share ~ticks faultss =
+(* [f i trace] over the traces of many fault lists of one spec, in
+   order: the interpreted oracle loops over them, the indexed engine runs
+   them through the campaign executor. *)
+let map_faults t ~domains ~instances ~share ~ticks faultss ~f =
   match t.engine with
   | Interpreted ->
     Array.of_list
       (Parallel.map ~domains
-         (fun faults -> trace_of t ~faults ~ticks)
-         (Array.to_list faultss))
+         (fun (i, faults) -> f i (trace_of t ~faults ~ticks))
+         (List.mapi (fun i faults -> (i, faults)) (Array.to_list faultss)))
   | Indexed ->
     let cases =
       Array.map
@@ -125,13 +125,18 @@ let traces t ~domains ~instances ~share ~ticks faultss =
           (faults, Fault.apply faults t.inputs, schedule_of t faults))
         faultss
     in
-    Prefix.traces ~domains ~instances ~share ~ix:(Lazy.force t.ixc) ~ticks
-      ~base_inputs:t.inputs ~base_schedule:(schedule_of t []) cases
+    Prefix.map ~domains ~instances ~share ~ix:(Lazy.force t.ixc) ~ticks
+      ~base_inputs:t.inputs ~base_schedule:(schedule_of t []) cases ~f
 
-let trace_cases ?(domains = 1) ?(instances = 1) ?(share = false) t ~seed
-    ~ticks opss =
-  traces t ~domains ~instances ~share ~ticks
+let map_cases ?(domains = 1) ?(instances = 1) ?(share = false) t ~seed
+    ~ticks opss ~f =
+  map_faults t ~domains ~instances ~share ~ticks
     (Array.map (fun ops -> faults_of t ~seed ~ops) opss)
+    ~f
+
+let trace_cases ?domains ?instances ?share t ~seed ~ticks opss =
+  map_cases ?domains ?instances ?share t ~seed ~ticks opss
+    ~f:(fun _ tr -> tr)
 
 let eval_monitors t tr = verdicts_of t tr
 
@@ -229,8 +234,9 @@ let run ?(shrink = true) ?(domains = 1) ?(instances = 1)
     Array.map (fun (seed, iteration) -> expand t ~seed ~iteration) specs
   in
   let traces =
-    traces t ~domains ~instances ~share:prefix_share ~ticks:t.spec_ticks
+    map_faults t ~domains ~instances ~share:prefix_share ~ticks:t.spec_ticks
       (Array.mapi (fun i ops -> faults_of t ~seed:(fst specs.(i)) ~ops) opss)
+      ~f:(fun _ tr -> tr)
   in
   let cases =
     Array.to_list

@@ -23,7 +23,7 @@ open Automode_robust
 type engine = Interpreted | Indexed
 (** [Interpreted] is the oracle ({!Automode_core.Sim.run}); [Indexed]
     (the default) runs the lowered engine and, for sweeps, the campaign
-    executor {!Automode_robust.Prefix.traces}. *)
+    executor {!Automode_robust.Prefix.map}. *)
 
 type t
 (** A test specification (immutable; the [with_*] combinators return
@@ -127,20 +127,30 @@ val trace_ops : t -> seed:int -> ops:Op.t list -> ticks:int -> Trace.t
     {!run_ops} without the monitor pass, for callers that canonicalize
     or diff traces themselves (e.g. litmus-scenario deduplication). *)
 
+val map_cases :
+  ?domains:int -> ?instances:int -> ?share:bool -> t -> seed:int ->
+  ticks:int -> Op.t list array -> f:(int -> Trace.t -> 'a) -> 'a array
+(** [f i trace] over the {!trace_ops} traces of many operation lists at
+    once: element [i] of the result is [f i] of the trace of element
+    [i] of the input.  On the {!Indexed} engine the lists run through
+    the campaign executor ({!Automode_robust.Prefix.map}, whose
+    contract for [f] holds here) under the plan [?domains] (default 1),
+    [?instances] (default 1) and [~share] (default [false]): [share]
+    simulates the fault-free prefix common to the compiled op sequences
+    once and replays only suffixes; [instances] steps the cases through
+    the batched engine.  The {!Interpreted} oracle loops through
+    {!trace_ops} over a [?domains] {!Automode_robust.Parallel.map}
+    pool, calling [f] right after each run.  Every plan yields
+    byte-identical traces, and each trace is consumed by [f] as its
+    chunk completes, so a caller that keeps only what [f] returns never
+    holds the sweep's traces — this is the litmus synthesis fan-out
+    primitive. *)
+
 val trace_cases :
   ?domains:int -> ?instances:int -> ?share:bool -> t -> seed:int ->
   ticks:int -> Op.t list array -> Trace.t array
-(** {!trace_ops} over many operation lists at once: trace [i] belongs
-    to element [i] of the input.  On the {!Indexed} engine the lists
-    run through the campaign executor
-    ({!Automode_robust.Prefix.traces}) under the plan [?domains]
-    (default 1), [?instances] (default 1) and [~share] (default
-    [false]): [share] simulates the fault-free prefix common to the
-    compiled op sequences once and replays only suffixes; [instances]
-    steps the cases through the batched engine.  The {!Interpreted}
-    oracle loops through {!trace_ops} over [?domains].  Every plan
-    yields byte-identical traces — this is the litmus synthesis fan-out
-    primitive. *)
+(** {!map_cases} with the identity consumer [fun _ tr -> tr]: trace [i]
+    belongs to element [i] of the input, all held at once. *)
 
 val eval_monitors : t -> Trace.t -> (string * Monitor.verdict) list
 (** Judge an already-recorded trace against every attached monitor, in

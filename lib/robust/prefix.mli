@@ -88,6 +88,10 @@ val traces :
   Automode_core.Trace.t array
 (** [traces ~ix ~ticks ~base_inputs ~base_schedule cases] is {!map} with
     the identity consumer [fun _ tr -> tr]: every case's trace, in case
-    order, all held at once.  For callers that need several traces
-    together (proptest observers, litmus twin pairs); a sweep that only
-    judges each trace should pass its judgement to {!map} instead. *)
+    order, all held at once.  A sweep that only judges each trace
+    passes its judgement to {!map} instead, as the campaign sweeps
+    ([Scenario.run_seeds]) and litmus synthesis (through
+    [Builder.map_cases], one sweep per twin) do; proptest's
+    [Builder.run], whose observers must run in case order, still holds
+    its traces through the identity consumer.  No [lib/] caller is left
+    for [traces] itself: the tests and the benchmark harness use it. *)

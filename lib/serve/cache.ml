@@ -125,17 +125,23 @@ let index_pack_locked t ~path name recs =
       Hashtbl.replace t.index key { pack = path; off; len; md5 })
     recs
 
+let mtime root =
+  match Unix.stat root with
+  | st -> Some st.Unix.st_mtime
+  | exception Unix.Unix_error _ -> None
+
 (* Index the packs in [root] this cache has not seen, unless the
    directory's mtime has not moved since the last scan.  A pack
    published within the timestamp tick of that scan's listing can leave
-   the mtime unmoved; it is then seen after the directory's next change
-   (this cache's own next store, say), and meanwhile its keys are only
-   recomputed. *)
+   the mtime unmoved; it is then seen after the directory's next change,
+   and meanwhile its keys are only recomputed.  Each listing counts
+   [serve.cache.scan]. *)
 let rescan t root =
-  match (Unix.stat root).Unix.st_mtime with
-  | exception Unix.Unix_error _ -> ()
-  | mtime when Float.equal mtime (with_lock t (fun () -> t.scanned)) -> ()
-  | mtime ->
+  match mtime root with
+  | None -> ()
+  | Some m when Float.equal m (with_lock t (fun () -> t.scanned)) -> ()
+  | Some mtime ->
+    Automode_obs.Probe.count "serve.cache.scan";
     let names = try Sys.readdir root with Sys_error _ -> [||] in
     let fresh =
       with_lock t (fun () ->
@@ -235,15 +241,32 @@ let disk_read t key =
     Option.bind loc (read_payload t key)
 
 (* Publish a batch as one pack and index its records.  A pack of that
-   name already holds these very bytes, so it is not written again. *)
+   name already holds these very bytes, so it is not written again.  The
+   rename moves the directory's mtime; when nothing else had moved it
+   since the last scan, the mtime after the rename is recorded as
+   scanned, so this cache's next miss does not list the directory for
+   its own pack.  A pack another process publishes between the two
+   stats is seen after the directory's next change, as in [rescan]. *)
 let disk_write t root entries =
   let buf = Buffer.create 4096 in
   let recs = List.map (add_record buf) entries in
   let content = Buffer.contents buf in
   let name = Stdlib.Digest.to_hex (Stdlib.Digest.string content) ^ ".pack" in
   let path = Filename.concat root name in
-  if not (Sys.file_exists path) then write_atomic ~path content;
-  with_lock t (fun () -> index_pack_locked t ~path name recs)
+  let published =
+    if Sys.file_exists path then None
+    else begin
+      let before = mtime root in
+      write_atomic ~path content;
+      Option.map (fun after -> (before, after)) (mtime root)
+    end
+  in
+  with_lock t (fun () ->
+      (match published with
+       | Some (Some before, after) when Float.equal before t.scanned ->
+         t.scanned <- after
+       | Some _ | None -> ());
+      index_pack_locked t ~path name recs)
 
 (* Insert under the lock; FIFO eviction.  The queue can hold keys whose
    entry was since overwritten — pop until one actually leaves. *)

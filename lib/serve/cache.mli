@@ -19,9 +19,15 @@
     the index re-scans the directory for packs other processes have
     published before it counts as a miss; the re-scan runs only when
     the directory's mtime moved since the last scan, so daemons sharing
-    a cache directory see each other's entries (a pack published within
-    the timestamp tick of that scan is seen after the directory's next
-    change; until then its keys are recomputed).  Every disk read
+    a cache directory see each other's entries.  A cache's own store
+    moves that mtime too; when nothing else moved it since the last
+    scan, the store records the mtime its rename left, so a cache that
+    alone writes its directory lists it once, at {!create}.  Two windows
+    are tolerated: a pack published within the timestamp tick of a
+    scan's listing, and a pack another process publishes while a store
+    renames its own, are each seen after the directory's next change;
+    until then their keys are recomputed.  Each listing counts
+    [serve.cache.scan].  Every disk read
     checks the payload's MD5: a mismatch or a short read counts as a
     miss, bumps [serve.cache.corrupt] and drops the record from the
     index, so the recomputed entry's next {!store} serves later

@@ -80,6 +80,80 @@ let test_value_compare_total =
       let va = Value.Int a and vb = Value.Int b in
       Value.compare va vb = -Value.compare vb va)
 
+(* The printers render directly; the Format printer they replaced is
+   kept here as the reference they must match byte for byte. *)
+let rec reference_pp ppf = function
+  | Value.Bool b -> Format.pp_print_bool ppf b
+  | Int i -> Format.pp_print_int ppf i
+  | Float f -> Format.fprintf ppf "%g" f
+  | Enum (_, lit) -> Format.pp_print_string ppf lit
+  | Tuple vs ->
+    Format.fprintf ppf "(%a)"
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+         reference_pp)
+      vs
+
+let reference_pp_message ppf = function
+  | Value.Absent -> Format.pp_print_string ppf "-"
+  | Present v -> reference_pp ppf v
+
+let gen_value =
+  let open QCheck.Gen in
+  let special =
+    [ nan; Float.neg nan; infinity; neg_infinity; 0.; -0.; 1e21; 1e-7;
+      1e20; 1e-5; 123456.; 1234567.; 0.1; Float.min_float; Float.max_float;
+      Float.epsilon; 5e-324; -5e-324 ]
+  in
+  (* the sign and mantissa bits of a random double, exponent zero *)
+  let subnormal =
+    map
+      (fun bits -> Int64.float_of_bits (Int64.logand bits 0x800FFFFFFFFFFFFFL))
+      ui64
+  in
+  let leaf =
+    frequency
+      [ (1, map (fun b -> Value.Bool b) bool);
+        ( 2,
+          map
+            (fun i -> Value.Int i)
+            (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]) );
+        ( 4,
+          map
+            (fun f -> Value.Float f)
+            (oneof [ float; oneofl special; subnormal ]) );
+        ( 1,
+          map
+            (fun lit -> Value.Enum ("E", lit))
+            (string_size ~gen:printable (int_range 0 8)) ) ]
+  in
+  let rec value depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [ (3, leaf);
+          ( 1,
+            map
+              (fun vs -> Value.Tuple vs)
+              (list_size (int_range 0 4) (value (depth - 1))) ) ]
+  in
+  value 3
+
+let test_value_printers_match_format =
+  QCheck.Test.make ~name:"printers = the Format rendering" ~count:2000
+    (QCheck.make
+       ~print:(fun (_, v) -> Format.asprintf "%a" reference_pp v)
+       (QCheck.Gen.pair QCheck.Gen.bool gen_value))
+    (fun (present, v) ->
+      let m = if present then Value.Present v else Value.Absent in
+      let reference = Format.asprintf "%a" reference_pp v in
+      String.equal (Value.to_string v) reference
+      && String.equal (Format.asprintf "%a" Value.pp v) reference
+      && String.equal (Value.message_to_string m)
+           (Format.asprintf "%a" reference_pp_message m)
+      && String.equal (Format.asprintf "%a" Value.pp_message m)
+           (Format.asprintf "%a" reference_pp_message m))
+
 let test_value_tuple_equal () =
   let t1 = Value.Tuple [ Int 1; Bool true ] in
   let t2 = Value.Tuple [ Int 1; Bool true ] in
@@ -431,7 +505,8 @@ let () =
           Alcotest.test_case "type errors" `Quick test_value_type_errors;
           Alcotest.test_case "message pp" `Quick test_value_message_pp;
           Alcotest.test_case "tuple equality" `Quick test_value_tuple_equal ]
-        @ qsuite [ test_value_compare_total ] );
+        @ qsuite
+            [ test_value_compare_total; test_value_printers_match_format ] );
       ( "dtype",
         [ Alcotest.test_case "enums" `Quick test_dtype_enum;
           Alcotest.test_case "defaults" `Quick test_dtype_defaults;

@@ -285,6 +285,49 @@ let test_synth_prefix_identical () =
   checks "shared-warmed and looped cached reports byte-identical"
     (Synth.to_text cold) (Synth.to_text warm)
 
+(* Streaming classification: a cold synthesis classifies every scenario
+   inside the executor's consumers, and the cache hooks capture the
+   payload each classification stores.  Every payload must equal the
+   looped path's [Eval.evaluate] of its scenario, in enumeration order,
+   under every plan and on both engines. *)
+let test_synth_streaming_payloads () =
+  let scenarios = Space.enumerate ~alphabet:Litmus_lock.alphabet ~bound:2 in
+  let expected =
+    List.map
+      (fun s ->
+        "canon " ^ Space.canonical s ^ "\n"
+        ^ Eval.encode (Eval.evaluate twin ~nominal s))
+      scenarios
+  in
+  let check label ?domains ?instances ?engine () =
+    let stored = ref [] in
+    let hooks =
+      { Synth.cache_prefix = "stream|";
+        cache_find = (fun _ -> None);
+        cache_store = (fun batch -> stored := !stored @ batch) }
+    in
+    let r = synth ~cache:hooks ?domains ?instances ?engine () in
+    checki (label ^ ": all misses") (List.length scenarios)
+      r.Synth.res_cache_misses;
+    checki (label ^ ": one payload per scenario") (List.length scenarios)
+      (List.length !stored);
+    List.iter2
+      (fun want (_, got) -> checks label want got)
+      expected !stored
+  in
+  List.iter
+    (fun (domains, instances) ->
+      check
+        (Printf.sprintf "domains %d, instances %d" domains instances)
+        ~domains ~instances ())
+    [ (1, 1); (1, 16); (2, 1); (2, 16) ];
+  List.iter
+    (fun domains ->
+      check
+        (Printf.sprintf "interpreted, domains %d" domains)
+        ~domains ~engine:Automode_proptest.Builder.Interpreted ())
+    [ 1; 2 ]
+
 let test_synth_cache_roundtrip () =
   let store : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let hooks =
@@ -398,6 +441,8 @@ let () =
             `Quick test_synth_deterministic_report;
           Alcotest.test_case "cache round-trip" `Quick
             test_synth_cache_roundtrip;
+          Alcotest.test_case "streamed payloads = looped classification"
+            `Quick test_synth_streaming_payloads;
           Alcotest.test_case "batched synthesis byte-identical" `Quick
             test_synth_batched_identical;
           Alcotest.test_case "prefix-shared synthesis byte-identical" `Quick

@@ -868,12 +868,15 @@ let test_base_fault_dropped () =
     checki "the horizon ends at the spike" 7 o.PB.shrunk_ticks
   | _ -> Alcotest.fail "expected one shrunk failure"
 
-(* The ticks [f ()] simulates: its sim.ticks, as --metrics reports it. *)
-let sim_ticks_of f =
+(* The counters of [f ()], as --metrics reports them. *)
+let counters_of f =
   let m = Automode_obs.Metrics.create () in
   Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m) (fun () ->
       ignore (f ()));
-  Option.value ~default:0 (Automode_obs.Metrics.value m "sim.ticks")
+  fun key -> Option.value ~default:0 (Automode_obs.Metrics.value m key)
+
+(* The ticks [f ()] simulates: its sim.ticks. *)
+let sim_ticks_of f = counters_of f "sim.ticks"
 
 (* Work gate: the shrink phase of [proptest --target unguarded --seeds 8]
    simulates exactly this many ticks (sim.ticks with shrinking minus
@@ -904,6 +907,33 @@ let test_campaign_ticks () =
          Robustness.door_lock_campaign ~seeds:(List.init 8 succ) ()));
   checki "litmus --bound 2" 8580
     (sim_ticks_of (fun () -> Litmus_lock.synthesize ()))
+
+(* Work gates on [litmus --bound 3], looped and at [--instances 64]:
+   what the executor simulates and how many scenarios synthesis
+   classifies.  Classifying each trace inside the executor, instead of
+   holding both twins' traces until the end, left every count as it
+   was: streaming changed what is held, not what is simulated. *)
+let test_litmus_work () =
+  List.iter
+    (fun (instances, ticks, shared, replayed) ->
+      let count =
+        counters_of (fun () ->
+            Litmus_lock.synthesize
+              ~config:
+                { Automode_litmus.Synth.default_config with
+                  Automode_litmus.Synth.bound = 3 }
+              ~instances ())
+      in
+      let pin key want =
+        checki (Printf.sprintf "instances %d: %s" instances key) want
+          (count key)
+      in
+      pin "sim.ticks" ticks;
+      pin "campaign.prefix.shared_ticks" shared;
+      pin "campaign.prefix.replayed_ticks" replayed;
+      pin "litmus.scenarios.evaluated" 575;
+      pin "litmus.scenarios.unique" 295)
+    [ (1, 41_284, 5_492, 40_556); (64, 42_448, 4_316, 41_720) ]
 
 (* Cross-commit fixture: the reports of [proptest --target unguarded
    --seeds 8] and [robustness --seeds 8], shrinking on, as committed
@@ -1480,6 +1510,7 @@ let () =
           Alcotest.test_case "shrink-phase ticks" `Quick
             test_shrink_phase_ticks;
           Alcotest.test_case "campaign ticks" `Quick test_campaign_ticks;
+          Alcotest.test_case "litmus k=3 work" `Quick test_litmus_work;
           Alcotest.test_case "suite/shrink reports" `Quick
             test_shrink_fixtures ]
         @ qsuite [ test_minimize_is_drop_one; test_ddmin_one_minimal ] );

@@ -309,6 +309,43 @@ let test_cache_shared_dir () =
   Unix.utimes root 0. 0.;
   checkb "moved mtime: re-scanned" true (get "k2" = Some "v2")
 
+(* Directory listings ([serve.cache.scan]): a cache that alone writes
+   its directory lists it once, at create, however many (miss, store)
+   rounds follow, because each store records the mtime its own rename
+   left.  Another cache's store still moves the mtime past what the
+   first one recorded, so the first lists again and hits.  The mtime is
+   first set to a fixed past time, so the second cache's rename moves it
+   whatever the timestamp granularity. *)
+let test_cache_own_store_no_rescan () =
+  let dir = temp_dir "automode-scan" in
+  let root = dir // "v2" in
+  let m = Automode_obs.Metrics.create () in
+  let scans () =
+    Option.value ~default:0 (Automode_obs.Metrics.value m "serve.cache.scan")
+  in
+  Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m) (fun () ->
+      let first = Serve.Cache.create ~dir () in
+      checki "create lists once" 1 (scans ());
+      for i = 1 to 10 do
+        let key = Printf.sprintf "k%d" i in
+        checkb (key ^ " misses") true
+          (Serve.Cache.find first ~key ~decode:Option.some = None);
+        Serve.Cache.store first [ (key, "v") ]
+      done;
+      checki "10 x (miss, store): no further listing" 1 (scans ());
+      checki "one pack per store" 10 (List.length (packs dir));
+      Unix.utimes root 1e9 1e9;
+      checkb "absent key misses" true
+        (Serve.Cache.find first ~key:"k0" ~decode:Option.some = None);
+      checki "a moved mtime lists again" 2 (scans ());
+      let second = Serve.Cache.create ~dir () in
+      checki "the second cache lists at create" 3 (scans ());
+      Serve.Cache.store second [ ("shared", "v2") ];
+      checkb "the second cache's store is a hit in the first" true
+        (Serve.Cache.find first ~key:"shared" ~decode:Option.some
+         = Some "v2");
+      checki "found by listing again" 4 (scans ()))
+
 (* ------------------------------------------------------------------ *)
 (* Cached sweeps: byte-identical warm reports, range splicing         *)
 (* ------------------------------------------------------------------ *)
@@ -859,6 +896,8 @@ let suite =
     Alcotest.test_case "cache ignores v1 entries" `Quick test_cache_ignores_v1;
     Alcotest.test_case "cache pack counts" `Quick test_cache_pack_counts;
     Alcotest.test_case "cache shared directory" `Quick test_cache_shared_dir;
+    Alcotest.test_case "cache own stores need no listing" `Quick
+      test_cache_own_store_no_rescan;
     Alcotest.test_case "warm report byte-identical" `Quick
       test_warm_report_byte_identical;
     Alcotest.test_case "overlapping range splicing" `Quick
