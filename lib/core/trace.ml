@@ -2,9 +2,10 @@ type t = {
   flow_names : string list;
   (* newest tick first; each tick is an assoc list over flow_names *)
   rev_ticks : (string * Value.message) list list;
+  n_ticks : int;  (* List.length rev_ticks *)
 }
 
-let make ~flows = { flow_names = flows; rev_ticks = [] }
+let make ~flows = { flow_names = flows; rev_ticks = []; n_ticks = 0 }
 
 let record t tick_msgs =
   let tick =
@@ -15,14 +16,27 @@ let record t tick_msgs =
         | None -> (flow, Value.Absent))
       t.flow_names
   in
-  { t with rev_ticks = tick :: t.rev_ticks }
+  { t with rev_ticks = tick :: t.rev_ticks; n_ticks = t.n_ticks + 1 }
 
 (* The caller guarantees [tick_msgs] covers every flow, in flow order —
    the per-flow assoc projection of [record] is skipped entirely (the
    batched engine builds its rows in flow order already). *)
-let record_ordered t tick_msgs = { t with rev_ticks = tick_msgs :: t.rev_ticks }
+let record_ordered t tick_msgs =
+  { t with rev_ticks = tick_msgs :: t.rev_ticks; n_ticks = t.n_ticks + 1 }
 
-let length t = List.length t.rev_ticks
+let length t = t.n_ticks
+
+(* The newest-first rows make the first [n] ticks a suffix of the row
+   list: drop the [length - n] newest rows and share the rest. *)
+let prefix t n =
+  if n < 0 then invalid_arg "Trace.prefix: negative length";
+  if n >= t.n_ticks then t
+  else
+    let rec drop k rows =
+      if k = 0 then rows else drop (k - 1) (List.tl rows)
+    in
+    { t with rev_ticks = drop (t.n_ticks - n) t.rev_ticks; n_ticks = n }
+
 let flows t = t.flow_names
 let ticks t = List.rev t.rev_ticks
 
@@ -36,7 +50,7 @@ let get t ~flow ~tick =
   (* rev_ticks is newest-first: tick [i] lives at index [length - 1 - i];
      a single nth walk avoids reversing (and allocating) the tick list on
      every call. *)
-  let n = List.length t.rev_ticks in
+  let n = t.n_ticks in
   if tick < 0 || tick >= n then Value.Absent
   else
     match List.nth_opt t.rev_ticks (n - 1 - tick) with
@@ -57,7 +71,7 @@ let column t flow =
    order, so each row zips against the column list directly; a row that
    is not in order falls back to the assoc lookup per flow. *)
 let columns t =
-  let n = List.length t.rev_ticks in
+  let n = t.n_ticks in
   let cols = List.map (fun f -> (f, Array.make n Value.Absent)) t.flow_names in
   List.iteri
     (fun i row ->
@@ -125,7 +139,8 @@ let first_divergence a b =
 
 let restrict t keep =
   let keep = List.filter (fun f -> List.mem f t.flow_names) keep in
-  { flow_names = keep;
+  { t with
+    flow_names = keep;
     rev_ticks =
       List.map
         (fun row -> List.filter (fun (f, _) -> List.mem f keep) row)
@@ -135,7 +150,8 @@ let rename t mapping =
   let map_name f =
     match List.assoc_opt f mapping with Some f' -> f' | None -> f
   in
-  { flow_names = List.map map_name t.flow_names;
+  { t with
+    flow_names = List.map map_name t.flow_names;
     rev_ticks =
       List.map (fun row -> List.map (fun (f, m) -> (map_name f, m)) row)
         t.rev_ticks }

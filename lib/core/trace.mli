@@ -22,6 +22,15 @@ val record_ordered : t -> (string * Value.message) list -> t
 val length : t -> int
 val flows : t -> string list
 
+val prefix : t -> int -> t
+(** [prefix t n] is the first [n] ticks of [t], over the same flows:
+    [t] itself when [n >= length t].  It drops the [length t - n] last
+    ticks in O(length t - n) and shares the remaining rows.  A run of
+    the simulator to horizon [n] equals the prefix of length [n] of
+    any longer run under the same stimulus, since every tick depends
+    only on earlier ones.
+    @raise Invalid_argument on a negative [n]. *)
+
 val get : t -> flow:string -> tick:int -> Value.message
 (** @raise Not_found on unknown flows; [Absent] beyond the last tick. *)
 

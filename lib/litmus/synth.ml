@@ -197,7 +197,8 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
       unique
   in
   (* the classification holds the unguarded twin's failure reason, so
-     the pin's horizon shrinks without replaying the full scenario *)
+     the pin's horizon shrinks without replaying the full scenario, and
+     its bisection judges prefixes of one trace *)
   let min_ticks_of s cls =
     if not config.shrink then horizon
     else
@@ -208,9 +209,8 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
           Builder.faults_of twin.Eval.unguarded ~seed:0 ~ops:(Space.ops s)
         in
         (Shrink.minimize_faults
-           ~run:(fun ~faults ~ticks ->
-             Builder.run_faults twin.Eval.unguarded ~faults ~ticks)
-           ~monitor ~faults ~ticks:horizon ~reason)
+           ~run:(Builder.judge twin.Eval.unguarded ~monitor)
+           ~faults ~ticks:horizon ~reason)
           .Shrink.ticks
   in
   let minimal =

@@ -14,7 +14,10 @@
     subset survives — exact, because the size-ordered enumeration and a
     prefix cap evaluate every subset of an evaluated scenario), and pin
     each minimal scenario's shortest failing horizon with
-    {!Automode_robust.Shrink.minimize_faults}.  Everything
+    {!Automode_robust.Shrink.minimize_faults} on the unguarded twin's
+    {!Automode_proptest.Builder.judge} runs: the horizon bisection
+    judges prefixes of one trace, judged by the failing monitor alone,
+    instead of replaying each shorter horizon.  Everything
     downstream of (twin, alphabet, config) is pure, so the report is
     byte-identical across reruns, engines, domain counts and cache
     states. *)

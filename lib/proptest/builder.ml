@@ -45,10 +45,16 @@ let with_ops ?(min_ops = 1) ?(max_ops = 8) gens t =
   { t with gens; min_ops; max_ops }
 
 let with_base_faults base_faults t = { t with base_faults }
-let with_monitors mons t = { t with mons = t.mons @ mons }
+let with_monitors mons t =
+  { t with
+    mons =
+      Monitor.distinct_names ~caller:"Builder.with_monitors" (t.mons @ mons) }
 
 let with_derived_monitors ?ranges ?staleness t =
-  { t with mons = t.mons @ Derive.monitors ?ranges ?staleness t.comp }
+  { t with
+    mons =
+      Monitor.distinct_names ~caller:"Builder.with_derived_monitors"
+        (t.mons @ Derive.monitors ?ranges ?staleness t.comp) }
 
 let with_observers observers t =
   { t with observers = t.observers @ observers }
@@ -101,6 +107,9 @@ let trace_of t ~faults ~ticks =
 let verdicts_of t tr = List.map (fun m -> (Monitor.name m, Monitor.eval m tr)) t.mons
 
 let run_faults t ~faults ~ticks = verdicts_of t (trace_of t ~faults ~ticks)
+
+let judge t ~monitor ~faults ~ticks =
+  Shrink.judge_trace t.mons ~monitor (trace_of t ~faults ~ticks)
 
 let run_ops t ~seed ~ops ~ticks =
   run_faults t ~faults:(faults_of t ~seed ~ops) ~ticks
@@ -184,16 +193,15 @@ let run_case t ~seed ~iteration =
 
 let ddmin_ops = Shrink.ddmin
 
-(* The op-level replay of a case is the fault-level replay of its
-   compiled faults, so one runner serves both passes of the shrinker.
-   The case's verdict supplies the failure reason: the full case is not
+(* The op-level run of a case is the fault-level run of its compiled
+   faults, so one judge runner serves both passes of the shrinker.  The
+   case's verdict supplies the failure reason: the full case is not
    replayed. *)
 let shrink_case t ~seed ~mon ~ops ~reason =
   let shrunk_ops, (o : Fault.t Shrink.outcome) =
-    Shrink.minimize_ops
-      ~run:(fun ~faults ~ticks -> run_faults t ~faults ~ticks)
+    Shrink.minimize_ops ~run:(judge t ~monitor:mon)
       ~compile:(fun ops -> faults_of t ~seed ~ops)
-      ~monitor:mon ~ops ~ticks:t.spec_ticks ~reason
+      ~ops ~ticks:t.spec_ticks ~reason
   in
   { shrunk_ops;
     shrunk_faults = o.faults;

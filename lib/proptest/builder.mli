@@ -11,7 +11,9 @@
     one delta-debugging loop of {!Automode_robust.Shrink} over the
     operation list, a horizon bisection, then the same loop over the
     minimal sequence's compiled faults — down to a minimal failing
-    trace that replays bit-for-bit.
+    trace that replays bit-for-bit.  Each shrink run is simulated once
+    and judged by the failing monitor alone ({!judge}); the horizon
+    bisections judge prefixes of the last kept run's trace.
 
     Everything downstream of (seed, iteration) is pure, so campaigns,
     reports and shrunk counterexamples are byte-identical across
@@ -47,12 +49,16 @@ val with_base_faults : (int -> Fault.t list) -> t -> t
     sequence (the classic {!Automode_robust.Scenario} catalog). *)
 
 val with_monitors : Monitor.t list -> t -> t
-(** Append hand-written invariants (cumulative). *)
+(** Append hand-written invariants (cumulative).
+    @raise Invalid_argument when two monitors of the spec would share
+    a name: reports and the shrinker look monitors up by name. *)
 
 val with_derived_monitors :
   ?ranges:(string * float * float) list ->
   ?staleness:(string * int) list -> t -> t
-(** Append {!Derive.monitors} of the spec's component. *)
+(** Append {!Derive.monitors} of the spec's component.
+    @raise Invalid_argument when two monitors of the spec would share
+    a name. *)
 
 val with_observers : (Trace.t -> unit) list -> t -> t
 (** Attach trace observers (e.g.
@@ -121,6 +127,15 @@ val run_faults :
 (** Simulate an explicit fault list (bypassing the op layer) and
     evaluate every monitor — the runner shape
     {!Automode_robust.Shrink.minimize} expects. *)
+
+val judge :
+  t -> monitor:string -> faults:Fault.t list -> ticks:int -> Shrink.judge
+(** Simulate an explicit fault list once and judge prefixes of its
+    trace by the monitor named [monitor] alone
+    ({!Automode_robust.Shrink.judge_trace}) — the runner shape
+    {!Automode_robust.Shrink.minimize_faults} and
+    {!Automode_robust.Shrink.minimize_ops} expect, behind
+    {!case_failures} and litmus pin horizons. *)
 
 val trace_ops : t -> seed:int -> ops:Op.t list -> ticks:int -> Trace.t
 (** The raw trace of the case defined by an explicit operation list —
@@ -206,7 +221,8 @@ val case_failures : ?shrink:bool -> t -> case -> failure list
 (** The failing (monitor, verdict) pairs of one case, each shrunk to a
     minimal operation subsequence, fault subset and horizon prefix
     unless [~shrink:false].  Shrinking starts from the case's verdict,
-    so the full case is not replayed. *)
+    so the full case is not replayed unless no operation can be
+    removed; the horizon bisections judge trace prefixes ({!judge}). *)
 
 val run :
   ?shrink:bool -> ?domains:int -> ?instances:int -> ?prefix_share:bool ->

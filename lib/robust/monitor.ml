@@ -7,6 +7,17 @@ type t = { mon_name : string; check : Trace.t -> verdict }
 let name m = m.mon_name
 let eval m trace = m.check trace
 
+let distinct_names ~caller mons =
+  let rec go seen = function
+    | [] -> mons
+    | m :: rest ->
+      if List.mem m.mon_name seen then
+        invalid_arg
+          (Printf.sprintf "%s: duplicate monitor name %s" caller m.mon_name)
+      else go (m.mon_name :: seen) rest
+  in
+  go [] mons
+
 let is_fail = function Fail _ -> true | Pass -> false
 
 let verdict_to_string = function

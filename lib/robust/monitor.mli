@@ -20,6 +20,13 @@ val eval : t -> Trace.t -> verdict
 (** Evaluation is pure; a flow the monitor needs that is missing from
     the trace is itself a failure (at tick 0). *)
 
+val distinct_names : caller:string -> t list -> t list
+(** The list itself when no two monitors share a name.  Reports, the
+    shrinker and the campaign cache look verdicts up by monitor name,
+    so a set of monitors must name each one once.
+    @raise Invalid_argument naming [caller] and the first repeated
+    name. *)
+
 val is_fail : verdict -> bool
 val verdict_to_string : verdict -> string
 

@@ -21,7 +21,7 @@ let make ?(schedule = fun _ -> Clock.no_events) ~name ~component ~ticks
     inputs;
     faults_of_seed = faults;
     schedule;
-    monitors }
+    monitors = Monitor.distinct_names ~caller:"Scenario.make" monitors }
 
 let name s = s.scn_name
 let ticks s = s.ticks
@@ -30,10 +30,11 @@ let monitors s = List.map Monitor.name s.monitors
 let faults s ~seed = s.faults_of_seed seed
 let prepare s = ignore (Lazy.force s.indexed)
 
+let stimulus s ~faults = (Fault.apply faults s.inputs, s.schedule faults)
+
 let trace s ~faults ~ticks =
-  let inputs = Fault.apply faults s.inputs in
-  Sim.run_indexed ~schedule:(s.schedule faults) ~ticks ~inputs
-    (Lazy.force s.indexed)
+  let inputs, schedule = stimulus s ~faults in
+  Sim.run_indexed ~schedule ~ticks ~inputs (Lazy.force s.indexed)
 
 let verdicts_of_trace s tr =
   List.map (fun m -> (Monitor.name m, Monitor.eval m tr)) s.monitors
@@ -66,7 +67,8 @@ let run_seed s ~seed =
   { seed; injected; verdicts = run s ~faults:injected ~ticks:s.ticks }
 
 (* The sweep's verdict already holds the failure reason, so shrinking
-   starts from it instead of replaying the full case. *)
+   starts from it instead of replaying the full case; each shrink run
+   is judged by the failing monitor alone, on prefixes of its trace. *)
 let seed_failures ?(shrink = true) s r =
   List.filter_map
     (fun (mon, v) ->
@@ -76,7 +78,10 @@ let seed_failures ?(shrink = true) s r =
         let shrunk =
           if shrink then
             Some
-              (Shrink.minimize_faults ~run:(run s) ~monitor:mon
+              (Shrink.minimize_faults
+                 ~run:(fun ~faults ~ticks ->
+                   Shrink.judge_trace s.monitors ~monitor:mon
+                     (trace s ~faults ~ticks))
                  ~faults:r.injected ~ticks:s.ticks ~reason)
           else None
         in
@@ -92,7 +97,9 @@ let run_seeds ?(domains = 1) ?(instances = 1) ?(prefix_share = true) s ~seeds
   let injected = Array.map s.faults_of_seed seeds in
   let cases =
     Array.map
-      (fun faults -> (faults, Fault.apply faults s.inputs, s.schedule faults))
+      (fun faults ->
+        let inputs, schedule = stimulus s ~faults in
+        (faults, inputs, schedule))
       injected
   in
   (* each trace is judged as soon as it exists: the sweep keeps only

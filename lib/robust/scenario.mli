@@ -25,7 +25,9 @@ val make :
     {!Fault.schedule_of_faults} when spikes target an event-clocked
     port, so the schedule tracks the fault set as shrinking removes
     faults.
-    @raise Invalid_argument on a negative horizon. *)
+    @raise Invalid_argument on a negative horizon, or when two
+    monitors share a name: reports, the shrinker and the campaign cache
+    look verdicts up by monitor name. *)
 
 val name : t -> string
 (** The scenario's name, as given to {!make} — the campaign title in
@@ -51,9 +53,16 @@ val prepare : t -> unit
     domains share the immutable compiled form instead of racing on the
     lazy. *)
 
+val stimulus : t -> faults:Fault.t list -> Sim.input_fn * Clock.schedule
+(** The stimulus under the given fault set and the clock schedule the
+    scenario derives from it: what {!trace} and {!run_seeds} simulate. *)
+
 val trace : t -> faults:Fault.t list -> ticks:int -> Trace.t
 (** Simulate the component under the given fault set for [ticks] —
-    the replay primitive behind {!run} and shrinking. *)
+    the replay primitive behind {!run} and shrinking.  A run to [h]
+    ticks is the first [h] ticks of any longer run
+    ({!Automode_core.Trace.prefix}), so shrinking judges horizon
+    prefixes of one trace instead of replaying them. *)
 
 val run :
   t -> faults:Fault.t list -> ticks:int -> (string * Monitor.verdict) list
@@ -92,7 +101,10 @@ val seed_failures : ?shrink:bool -> t -> seed_result -> failure list
     per-seed slice of a campaign's [failures] list, in verdict order.
     Shrinking starts from the verdict's reason
     ({!Shrink.minimize_faults}), so the seed's full run is not
-    replayed. *)
+    replayed unless no fault can be removed; each shrink run is judged
+    by the failing monitor alone, and the horizon bisection judges
+    prefixes of the last kept run's {!trace}
+    ({!Shrink.judge_trace}). *)
 
 val run_seeds :
   ?domains:int -> ?instances:int -> ?prefix_share:bool -> t ->

@@ -828,6 +828,256 @@ let test_ddmin_one_minimal =
              (fun i -> fails (List.filteri (fun j _ -> j <> i) min) = None)
              (List.init (List.length min) Fun.id))
 
+(* A prefix-judge runner over the same verdicts: one simulation per
+   call, after which the judge answers every horizon of that run. *)
+let judge_run fn sims ~faults ~ticks:_ =
+  incr sims;
+  fun h -> verdict_reason fn faults h
+
+(* Judging horizon prefixes of one run gives the drop-one fixpoint's
+   outcome with one simulation per ddmin candidate, plus one lazy
+   full-horizon run when ddmin keeps the whole list and the bisection
+   asks something.  Every oracle call at the full horizon but its first
+   is a ddmin candidate: bisection steps lie strictly below it. *)
+let test_judged_is_drop_one =
+  QCheck.Test.make
+    ~name:"judged minimize_faults = drop-one fixpoint, one run per candidate"
+    ~count:2000 shrink_input (fun (faults, ticks, fn) ->
+      let oracle_horizons = ref [] in
+      let oracle =
+        drop_one_minimize
+          ~run:(fun ~faults ~ticks:h ->
+            oracle_horizons := h :: !oracle_horizons;
+            verdict_run fn (ref 0) ~faults ~ticks:h)
+          ~monitor:"m" ~faults ~ticks
+      in
+      match verdict_reason fn faults ticks with
+      | None -> oracle = None
+      | Some reason ->
+        let sims = ref 0 in
+        let got =
+          Shrink.minimize_faults ~run:(judge_run fn sims) ~faults ~ticks
+            ~reason
+        in
+        let ddmin_runs =
+          List.length (List.filter (( = ) ticks) !oracle_horizons) - 1
+        in
+        let lazy_run =
+          List.length got.Shrink.faults = List.length faults && ticks > 1
+        in
+        oracle = Some got
+        && !sims = ddmin_runs + if lazy_run then 1 else 0)
+
+(* The campaign shrinker, judging prefixes of one trace per kept
+   candidate, finds what the replaying entry point finds:
+   [Shrink.minimize] over [Scenario.run], which replays every candidate
+   and every bisection step. *)
+let test_judged_equals_replaying () =
+  let describe (o : Fault.t Shrink.outcome) =
+    Printf.sprintf "%s | %d | %s"
+      (String.concat "; " (List.map Fault.describe o.Shrink.faults))
+      o.Shrink.ticks o.Shrink.reason
+  in
+  List.iter
+    (fun s ->
+      let shrunk = ref 0 in
+      List.iter
+        (fun seed ->
+          let r = Scenario.run_seed s ~seed in
+          List.iter
+            (fun (f : Scenario.failure) ->
+              match f.Scenario.shrunk with
+              | None -> Alcotest.fail "shrinking was on"
+              | Some o ->
+                incr shrunk;
+                let replayed =
+                  Shrink.minimize ~run:(Scenario.run s)
+                    ~monitor:f.Scenario.fail_monitor
+                    ~faults:r.Scenario.injected ~ticks:(Scenario.ticks s)
+                in
+                checks
+                  (Printf.sprintf "%s seed %d %s" (Scenario.name s) seed
+                     f.Scenario.fail_monitor)
+                  (describe o)
+                  (match replayed with
+                   | Some o' -> describe o'
+                   | None -> "replay passes"))
+            (Scenario.seed_failures s r))
+        (List.init 40 succ);
+      checkb (Scenario.name s ^ " has failures to shrink") true (!shrunk > 0))
+    [ Robustness.door_lock_scenario;
+      Guarded.unguarded_scenario;
+      Replicated.simplex_scenario;
+      Replicated.tmr_simplex_scenario ]
+
+(* ------------------------------------------------------------------ *)
+(* Prefix identity: the soundness lemma of prefix judging             *)
+(* ------------------------------------------------------------------ *)
+
+let test_trace_prefix () =
+  let tr =
+    List.fold_left
+      (fun tr i -> Trace.record tr [ ("a", present_i i) ])
+      (Trace.make ~flows:[ "a"; "b" ])
+      [ 0; 1; 2; 3 ]
+  in
+  checkb "h = length returns the trace" true (Trace.prefix tr 4 == tr);
+  checkb "h > length returns the trace" true (Trace.prefix tr 9 == tr);
+  let empty = Trace.prefix tr 0 in
+  Alcotest.(check (list string)) "h = 0 keeps the flows" [ "a"; "b" ]
+    (Trace.flows empty);
+  checki "h = 0 has no ticks" 0 (Trace.length empty);
+  checks "h = 0 renders the header alone" "tick,a,b\n" (Trace.to_csv empty);
+  let two = Trace.prefix tr 2 in
+  checki "h = 2 has two ticks" 2 (Trace.length two);
+  checks "h = 2 keeps the first ticks" "tick,a,b\n0,0,\n1,1,\n"
+    (Trace.to_csv two);
+  checkb "negative h rejected" true
+    (try ignore (Trace.prefix tr (-1)); false
+     with Invalid_argument _ -> true)
+
+(* A simulated subject: its horizon, its input flows and its runs on
+   [Sim.run] and on [Sim.run_indexed], given a seed and extra fault
+   layers. *)
+type prefix_subject = {
+  horizon : int;
+  inputs : string list;
+  engines : (seed:int -> layers:Fault.t list -> ticks:int -> Trace.t) list;
+}
+
+let input_names comp =
+  List.map (fun p -> p.Model.port_name) (Model.input_ports comp)
+
+let scenario_subject s =
+  let faults ~seed layers = Scenario.faults s ~seed @ layers in
+  { horizon = Scenario.ticks s;
+    inputs = input_names (Scenario.component s);
+    engines =
+      [ (fun ~seed ~layers ~ticks ->
+          let inputs, schedule =
+            Scenario.stimulus s ~faults:(faults ~seed layers)
+          in
+          Sim.run ~schedule ~ticks ~inputs (Scenario.component s));
+        (fun ~seed ~layers ~ticks ->
+          Scenario.trace s ~faults:(faults ~seed layers) ~ticks) ] }
+
+(* A builder twin over the op list [ops_of seed], the layers injected
+   as operations on top. *)
+let twin_subject spec ~ops_of =
+  let run engine ~seed ~layers ~ticks =
+    PB.trace_ops (PB.with_engine engine spec) ~seed
+      ~ops:(ops_of seed @ List.map Automode_proptest.Op.inject layers)
+      ~ticks
+  in
+  { horizon = PB.ticks spec;
+    inputs = input_names (PB.component spec);
+    engines = [ run PB.Interpreted; run PB.Indexed ] }
+
+(* A seeded random sublist of the litmus alphabet's operations. *)
+let litmus_ops seed =
+  let st = Random.State.make [| seed |] in
+  List.filter_map
+    (fun (_, op) -> if Random.State.int st 3 = 0 then Some op else None)
+    (Automode_litmus.Alphabet.to_list Litmus_lock.alphabet)
+
+let prefix_subjects =
+  List.map scenario_subject
+    [ Robustness.door_lock_scenario;
+      Guarded.unguarded_scenario;
+      Guarded.guarded_scenario;
+      Guarded.recovery_scenario;
+      Replicated.replicated_scenario;
+      Replicated.simplex_scenario;
+      Replicated.reset_scenario;
+      Replicated.tmr_scenario;
+      Replicated.tmr_simplex_scenario ]
+  @ List.map
+      (fun spec ->
+        twin_subject spec ~ops_of:(fun seed ->
+            PB.expand spec ~seed ~iteration:1))
+      [ Propcase.unguarded; Propcase.guarded ]
+  @ List.map
+      (fun spec -> twin_subject spec ~ops_of:litmus_ops)
+      [ Litmus_lock.unguarded; Litmus_lock.guarded ]
+
+(* Extra layers over the subject's own faults: a stuck-at-last window,
+   a delayed window, and on the door lock a CRSH spike, which fires the
+   crash event clock through the fault-derived schedule. *)
+let prefix_layers sub (stuck_at, (s0, s1), delayed_at, by, (d0, d1), crash) =
+  let flow i = List.nth sub.inputs (i mod List.length sub.inputs) in
+  let window a b =
+    Fault.Window { from_tick = min a b; until_tick = max a b }
+  in
+  [ Fault.stuck_at_last ~flow:(flow stuck_at) (window s0 s1);
+    Fault.delayed ~flow:(flow delayed_at) ~by (window d0 d1) ]
+  @
+  if List.mem "CRSH" sub.inputs then
+    [ Fault.spike ~flow:"CRSH"
+        ~value:(Dtype.enum_value Door_lock.crash_status "Crash")
+        (Fault.Window { from_tick = crash; until_tick = crash + 1 }) ]
+  else []
+
+let prefix_input =
+  let tick = QCheck.Gen.int_range 0 90 in
+  QCheck.make
+    ~print:(fun (i, seed, h, (sa, (s0, s1), da, by, (d0, d1), crash)) ->
+      Printf.sprintf
+        "subject %d, seed %d, h %d, stuck %d@%d..%d, delayed %d by %d@%d..%d, \
+         crash spike t%d"
+        i seed h sa s0 s1 da by d0 d1 crash)
+    QCheck.Gen.(
+      quad
+        (int_range 0 (List.length prefix_subjects - 1))
+        (int_range 1 1000) (int_range 0 90)
+        (map
+           (fun ((sa, s, da), (by, d, crash)) -> (sa, s, da, by, d, crash))
+           (pair
+              (triple small_nat (pair tick tick) small_nat)
+              (triple (int_range 1 5) (pair tick tick) tick))))
+
+let test_prefix_identity =
+  QCheck.Test.make
+    ~name:"Trace.prefix (run H) h = run h, every scenario and engine"
+    ~count:300 prefix_input (fun (i, seed, h, layer_args) ->
+      let sub = List.nth prefix_subjects i in
+      let h = h mod (sub.horizon + 1) in
+      let layers = prefix_layers sub layer_args in
+      List.for_all
+        (fun run ->
+          String.equal
+            (Trace.to_csv
+               (Trace.prefix (run ~seed ~layers ~ticks:sub.horizon) h))
+            (Trace.to_csv (run ~seed ~layers ~ticks:h)))
+        sub.engines)
+
+(* Reports, the shrinker and the campaign cache look monitors up by
+   name, so no set of monitors may name two alike. *)
+let test_duplicate_monitor_names () =
+  let v = Monitor.range ~name:"v" ~flow:"FZG_V" ~lo:5. ~hi:32. in
+  let raises what f =
+    checkb what true
+      (try ignore (f ()); false with Invalid_argument _ -> true)
+  in
+  raises "Scenario.make" (fun () ->
+      Scenario.make ~name:"dup" ~component:Door_lock.component ~ticks:10
+        ~inputs:Robustness.lock_stimulus ~faults:(fun _ -> [])
+        ~monitors:[ v; v ] ());
+  let spec =
+    PB.spec ~name:"dup" ~component:Door_lock.component ~ticks:10
+      ~inputs:Robustness.lock_stimulus ()
+  in
+  raises "Builder.with_monitors" (fun () -> PB.with_monitors [ v; v ] spec);
+  raises "Builder.with_monitors, across calls" (fun () ->
+      spec |> PB.with_monitors [ v ] |> PB.with_monitors [ v ]);
+  raises "Builder.with_derived_monitors" (fun () ->
+      spec |> PB.with_derived_monitors |> PB.with_derived_monitors);
+  let names =
+    PB.monitors (spec |> PB.with_monitors [ v ] |> PB.with_derived_monitors)
+  in
+  checkb "distinct names pass" true
+    (List.length names > 1
+    && List.length (List.sort_uniq String.compare names) = List.length names)
+
 (* A base fault sits under every generated sequence: a failure that
    needs one operation but not the base fault shrinks to that operation,
    and the fault-subset pass drops the base fault. *)
@@ -884,8 +1134,9 @@ let sim_ticks_of f = counters_of f "sim.ticks"
    drop-one pass over ddmin's already 1-minimal result and a replay of
    the bisected case before the fault pass.  One shrinker needed 6,280
    while it still replayed each failing case to find the reason its
-   sweep verdict already holds; starting from that verdict it needs
-   5,720. *)
+   sweep verdict already holds, and 5,720 while it replayed every
+   bisection step; bisecting on prefixes of the last kept candidate's
+   trace it needs 2,255. *)
 let test_shrink_phase_ticks () =
   let sim_ticks ~shrink =
     sim_ticks_of (fun () ->
@@ -893,26 +1144,30 @@ let test_shrink_phase_ticks () =
   in
   let sweep = sim_ticks ~shrink:false in
   checki "sweep ticks" 546 sweep;
-  checki "shrink-phase ticks" 5720 (sim_ticks ~shrink:true - sweep)
+  checki "shrink-phase ticks" 2255 (sim_ticks ~shrink:true - sweep)
 
 (* Work gates on whole shrinking runs, sweep included.
    [robustness --seeds 8] simulated 4,085 ticks while each shrink first
-   replayed its failing case (11 failures x 40 ticks); it needs 3,645.
-   [litmus --bound 2] simulated 9,300 ticks while every pin was also
-   re-certified by ddmin (each candidate re-run on both twins) and its
-   horizon pin replayed the full scenario; it needs 8,580. *)
+   replayed its failing case (11 failures x 40 ticks), and 3,645 while
+   it replayed every bisection step; judging prefixes of one trace it
+   needs 1,953.  [litmus --bound 2] simulated 9,300 ticks while every
+   pin was also re-certified by ddmin (each candidate re-run on both
+   twins) and its horizon pin replayed the full scenario, and 8,580
+   while the pin bisection replayed each step; it needs 8,412. *)
 let test_campaign_ticks () =
-  checki "robustness --seeds 8" 3645
+  checki "robustness --seeds 8" 1953
     (sim_ticks_of (fun () ->
          Robustness.door_lock_campaign ~seeds:(List.init 8 succ) ()));
-  checki "litmus --bound 2" 8580
+  checki "litmus --bound 2" 8412
     (sim_ticks_of (fun () -> Litmus_lock.synthesize ()))
 
 (* Work gates on [litmus --bound 3], looped and at [--instances 64]:
    what the executor simulates and how many scenarios synthesis
    classifies.  Classifying each trace inside the executor, instead of
    holding both twins' traces until the end, left every count as it
-   was: streaming changed what is held, not what is simulated. *)
+   was: streaming changed what is held, not what is simulated.
+   Bisecting pin horizons on one trace cut sim.ticks from 41,284 and
+   42,448; the executor's counts did not move. *)
 let test_litmus_work () =
   List.iter
     (fun (instances, ticks, shared, replayed) ->
@@ -933,7 +1188,7 @@ let test_litmus_work () =
       pin "campaign.prefix.replayed_ticks" replayed;
       pin "litmus.scenarios.evaluated" 575;
       pin "litmus.scenarios.unique" 295)
-    [ (1, 41_284, 5_492, 40_556); (64, 42_448, 4_316, 41_720) ]
+    [ (1, 41_116, 5_492, 40_556); (64, 42_280, 4_316, 41_720) ]
 
 (* Cross-commit fixture: the reports of [proptest --target unguarded
    --seeds 8] and [robustness --seeds 8], shrinking on, as committed
@@ -1512,8 +1767,17 @@ let () =
           Alcotest.test_case "campaign ticks" `Quick test_campaign_ticks;
           Alcotest.test_case "litmus k=3 work" `Quick test_litmus_work;
           Alcotest.test_case "suite/shrink reports" `Quick
-            test_shrink_fixtures ]
-        @ qsuite [ test_minimize_is_drop_one; test_ddmin_one_minimal ] );
+            test_shrink_fixtures;
+          Alcotest.test_case "judged = replaying, seeds 1-40" `Quick
+            test_judged_equals_replaying;
+          Alcotest.test_case "Trace.prefix" `Quick test_trace_prefix;
+          Alcotest.test_case "duplicate monitor names" `Quick
+            test_duplicate_monitor_names ]
+        @ qsuite
+            [ test_minimize_is_drop_one;
+              test_judged_is_drop_one;
+              test_ddmin_one_minimal;
+              test_prefix_identity ] );
       ( "can-faults",
         [ Alcotest.test_case "loss 0 nominal" `Quick
             test_can_loss_zero_is_nominal;
